@@ -1,7 +1,8 @@
-//! # mb-bench — the benchmark harness
+//! # mb-bench — the table and figure binaries
 //!
-//! One binary per table and figure of the paper; each regenerates the
-//! corresponding rows or series from the workspace's simulators:
+//! One binary per table and figure of the paper (plus the study and
+//! ablation binaries); each regenerates the corresponding rows or
+//! series from the workspace's simulators:
 //!
 //! | Binary | Regenerates |
 //! |---|---|
@@ -14,20 +15,16 @@
 //! | `fig5_rt_scheduling` | Figure 5 — RT-priority bandwidth anomaly |
 //! | `fig6_code_opt` | Figure 6 — element size × unrolling |
 //! | `fig7_magicfilter` | Figure 7 — magicfilter auto-tuning |
+//! | `sec5a_reproducibility` | §V.A.1 — page-allocation variability |
+//! | `sec6_perspectives` | §VI — GPU offload and the GFLOPS/W ladder |
+//! | `ablations` | collectives, switch upgrade, page policies |
+//! | `fault_ablation` | Figure 3 under increasing fault rates |
 //!
 //! Pass `--quick` to any binary to run the reduced test-sized
 //! configuration instead of the full paper grid.
 //!
-//! `campaign_resume` is a diagnostic rather than a figure: it times
-//! every pinned quick-grid `mb-lab` campaign cold, resumed from a
-//! half-complete journal, and as a pure journal replay, re-verifying
-//! each digest against the registry pins. `campaign_eta` samples a
-//! bounded prefix of every `-paper` campaign and extrapolates the
-//! full-grid cost into `BENCH_campaigns.json` — the shard-count
-//! guidance in EXPERIMENTS.md is derived from it.
-//!
-//! The Criterion benches (`cargo bench -p mb-bench`) time the *real*
-//! Rust kernels at native speed and the simulators themselves.
+//! Timing is not this crate's job: the repository's one timing harness
+//! is the benchmark under `perfbench/` (`bash perfbench/run.sh`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

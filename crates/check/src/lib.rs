@@ -447,4 +447,27 @@ mod tests {
         assert_eq!(ws.enclosing_fn("crates/x/src/lib.rs", 4), Some("mb_x::later".to_string()));
         assert_eq!(ws.enclosing_fn("crates/x/src/lib.rs", 999), None);
     }
+
+    #[test]
+    fn taint_sources_std_scoped_pools_outside_par() {
+        let src = "pub fn fan_out() {\n    std::thread::scope(|s| {\n        s.spawn(|| ());\n    });\n}\n";
+        let files: Vec<FileAnalysis> = [
+            ("crates/x/src/lib.rs", "mb_x", Vec::new()),
+            ("crates/simcore/src/par.rs", "mb_simcore", vec!["par".to_string()]),
+        ]
+        .into_iter()
+        .map(|(rel, krate, module)| {
+            FileAnalysis::from_source(rel, FileClass::Lib, krate, module, src.to_string())
+        })
+        .collect();
+        let asts: Vec<_> = files.iter().map(|f| f.ast.clone()).collect();
+        let analysis = taint::analyze(&files, &graph::Graph::build(&asts));
+        let hits: Vec<(&str, &str, usize)> = analysis
+            .sources
+            .iter()
+            .map(|s| (s.token.as_str(), s.kind.line_rule(), s.line))
+            .collect();
+        // Only the non-par file is a source, once, at the scope call.
+        assert_eq!(hits, vec![("thread::scope", "rogue-threads", 2)]);
+    }
 }

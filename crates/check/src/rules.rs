@@ -178,9 +178,10 @@ const UNSEEDED_RNG_TOKENS: [&str; 6] = [
 ];
 
 /// Tokens whose presence fires `rogue-threads`.
-const ROGUE_THREAD_TOKENS: [&str; 5] = [
+const ROGUE_THREAD_TOKENS: [&str; 6] = [
     "thread::spawn",
     "thread::Builder",
+    "thread::scope",
     "mpsc::",
     "crossbeam::",
     "rayon::",
@@ -545,7 +546,7 @@ mod tests {
         let f = check_snippet("crates/cpu/src/exec_model.rs", src);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "wall-clock-in-model");
-        assert!(check_snippet("crates/bench/src/perfsuite.rs", src).is_empty());
+        assert!(check_snippet("crates/bench/src/lib.rs", src).is_empty());
     }
 
     #[test]
@@ -578,6 +579,16 @@ let mut rng = thread_rng();
         let f = check_snippet("crates/kernels/src/lib.rs", src);
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].rule, "rogue-threads");
+        assert!(check_snippet("crates/simcore/src/par.rs", src).is_empty());
+    }
+
+    #[test]
+    fn rogue_threads_fences_std_scoped_pools_outside_par() {
+        let src = "std::thread::scope(|scope| {\n    scope.spawn(|| work());\n});\n";
+        let f = check_snippet("crates/lab/src/driver.rs", src);
+        assert_eq!(f.len(), 1, "{f:?}");
+        assert_eq!(f[0].rule, "rogue-threads");
+        assert!(f[0].message.starts_with("thread::scope"), "{}", f[0].message);
         assert!(check_snippet("crates/simcore/src/par.rs", src).is_empty());
     }
 

@@ -25,8 +25,8 @@
 use crate::campaign::{digest, Campaign};
 use crate::journal::{Journal, JournalError, JournalHeader};
 use mb_simcore::error::MbError;
-use parking_lot::Mutex;
 use std::path::Path;
+use std::sync::{Mutex, PoisonError};
 
 /// A shard assignment `index/count`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -221,7 +221,10 @@ pub fn run_campaign_with(
     // The journal is shared across sweep workers; appends serialize on
     // the mutex, so record order is append order (not slot order) —
     // the chain only certifies integrity, the slot index carries
-    // position. Slot wall times ride along under the same lock.
+    // position. Slot wall times ride along under the same lock. A
+    // panic under the lock can only follow a failed append, which
+    // leaves the journal at its last good record, so a poisoned lock
+    // is recovered rather than propagated.
     let journal = Mutex::new((journal, Vec::<(usize, f64)>::new()));
     let tasks: Vec<(String, usize)> = labels
         .iter()
@@ -237,7 +240,7 @@ pub fn run_campaign_with(
         let started = std::time::Instant::now(); // mb-check: allow(wall-clock-in-model)
         let payload = campaign.run_slot(ctx);
         let secs = started.elapsed().as_secs_f64(); // mb-check: allow(wall-clock-in-model)
-        let mut shared = journal.lock();
+        let mut shared = journal.lock().unwrap_or_else(PoisonError::into_inner);
         shared
             .0
             .append(ctx.index, &payload)
@@ -245,7 +248,7 @@ pub fn run_campaign_with(
         shared.1.push((ctx.index, secs));
         payload
     });
-    let (_, mut slot_secs) = journal.into_inner();
+    let (_, mut slot_secs) = journal.into_inner().unwrap_or_else(PoisonError::into_inner);
     slot_secs.sort_unstable_by_key(|&(slot, _)| slot);
 
     // A panicking slot surfaces as a TaskFailed entry; report the first

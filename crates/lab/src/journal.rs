@@ -1,9 +1,8 @@
 //! The append-only experiment journal.
 //!
 //! One journal file persists one shard's progress through one campaign.
-//! The format is a hand-rolled line protocol (the workspace's `serde` is
-//! an offline marker-trait stand-in, so nothing here round-trips through
-//! a serialization framework):
+//! The format is a hand-rolled line protocol (the workspace is std-only,
+//! so nothing here round-trips through a serialization framework):
 //!
 //! ```text
 //! mblab1 campaign=fig3-quick seed=000000000005ca1e tasks=9 shard=0/1

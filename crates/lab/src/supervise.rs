@@ -342,9 +342,9 @@ fn json_escape(text: &str) -> String {
 }
 
 impl SuperviseReport {
-    /// Renders the report as a JSON document (the workspace's `serde`
-    /// is a marker-trait stand-in, so this is hand-rolled like every
-    /// other emitter in the repo).
+    /// Renders the report as a JSON document (the workspace is
+    /// std-only, so this is hand-rolled like every other emitter in the
+    /// repo).
     pub fn to_json(&self) -> String {
         let mut out = String::new();
         out.push_str("{\n");

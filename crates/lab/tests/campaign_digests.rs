@@ -125,21 +125,31 @@ fn fig3_resume_after_partial_run_reproduces_the_pinned_digest() {
     let campaign = find("fig3-quick").expect("registered campaign");
     for threads in [1usize, 3] {
         let path = dir.join(format!("t{threads}.journal"));
-        let (replayed, digest) = with_threads(threads, || {
+        let (resumed, replay) = with_threads(threads, || {
             run_campaign(campaign.as_ref(), &path, Shard::solo(), 0).expect("first run");
             // Crash-rewind: keep the header plus the first 4 records.
             let text = fs::read_to_string(&path).expect("read journal");
             let prefix: Vec<&str> = text.lines().take(5).collect();
             fs::write(&path, format!("{}\n", prefix.join("\n"))).expect("rewind journal");
-            let out =
+            let resumed =
                 run_campaign(campaign.as_ref(), &path, Shard::solo(), 0).expect("resumed run");
-            (out.replayed, out.digest.expect("solo runs finalize"))
+            // A third run over the completed journal is a pure replay.
+            let replay =
+                run_campaign(campaign.as_ref(), &path, Shard::solo(), 0).expect("replay run");
+            (resumed, replay)
         });
-        assert_eq!(replayed, 4, "resume must replay exactly the surviving records");
+        assert_eq!(resumed.replayed, 4, "resume must replay exactly the surviving records");
         assert_eq!(
-            digest,
-            fixture::FIG3_QUICK_DIGEST,
+            resumed.digest,
+            Some(fixture::FIG3_QUICK_DIGEST),
             "resumed fig3-quick digest drifted at {threads} worker(s)"
+        );
+        assert_eq!(replay.executed, 0, "a complete journal must not re-measure");
+        assert_eq!(replay.replayed, 9, "a complete journal replays every slot");
+        assert_eq!(
+            replay.digest,
+            Some(fixture::FIG3_QUICK_DIGEST),
+            "replayed fig3-quick digest drifted at {threads} worker(s)"
         );
         let reloaded = Journal::load(&path).expect("journal verifies after resume");
         assert_eq!(reloaded.completed_slots().len(), 9);

@@ -47,10 +47,10 @@
 
 use crate::error::MbError;
 use crate::rng::{Rng, SplitMix64};
-use parking_lot::Mutex;
 use std::cell::Cell;
 use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::{Mutex, PoisonError};
 
 thread_local! {
     static THREAD_OVERRIDE: Cell<Option<usize>> = const { Cell::new(None) };
@@ -242,6 +242,8 @@ where
 
     // One slot per task; workers claim indices from a shared counter, so
     // scheduling is dynamic but the (index, seed, item) binding is fixed.
+    // Tasks run outside every lock and each critical section is a single
+    // `Option` move, so a poisoned lock still holds valid data.
     let slots: Vec<Mutex<Option<(String, T)>>> =
         tasks.into_iter().map(|t| Mutex::new(Some(t))).collect();
     let results: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
@@ -253,7 +255,7 @@ where
     // thread-locals, which workers cannot see.
     let chaos = chaos_seed();
 
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for worker in 0..workers {
             let mut chaos_rng = chaos
                 .map(|c| SplitMix64::new(c ^ (worker as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)));
@@ -276,6 +278,7 @@ where
                 }
                 let (label, item) = slots[index]
                     .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
                     .take()
                     .expect("each task index is claimed exactly once");
                 let ctx = TaskCtx {
@@ -283,9 +286,11 @@ where
                     seed: seeds[index],
                 };
                 match std::panic::catch_unwind(AssertUnwindSafe(|| f(ctx, item))) {
-                    Ok(r) => *results[index].lock() = Some(r),
+                    Ok(r) => {
+                        *results[index].lock().unwrap_or_else(PoisonError::into_inner) = Some(r)
+                    }
                     Err(payload) => {
-                        let mut slot = failure.lock();
+                        let mut slot = failure.lock().unwrap_or_else(PoisonError::into_inner);
                         if slot.is_none() {
                             *slot = Some((label, panic_text(payload.as_ref())));
                         }
@@ -295,15 +300,18 @@ where
                 }
             });
         }
-    })
-    .expect("sweep workers neither panic nor detach");
+    });
 
-    if let Some((label, message)) = failure.into_inner() {
+    if let Some((label, message)) = failure.into_inner().unwrap_or_else(PoisonError::into_inner) {
         panic!("sweep task '{label}' panicked: {message}");
     }
     results
         .into_iter()
-        .map(|m| m.into_inner().expect("every claimed task stored a result"))
+        .map(|m| {
+            m.into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .expect("every claimed task stored a result")
+        })
         .collect()
 }
 
@@ -378,7 +386,7 @@ where
     let next = AtomicUsize::new(0);
     let chaos = chaos_seed();
 
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for worker in 0..workers {
             let mut chaos_rng = chaos
                 .map(|c| SplitMix64::new(c ^ (worker as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)));
@@ -396,17 +404,22 @@ where
                 }
                 let (ctx, label, item) = slots[pos]
                     .lock()
+                    .unwrap_or_else(PoisonError::into_inner)
                     .take()
                     .expect("each task index is claimed exactly once");
-                *results[pos].lock() = Some(contain(ctx, label, item));
+                let result = contain(ctx, label, item);
+                *results[pos].lock().unwrap_or_else(PoisonError::into_inner) = Some(result);
             });
         }
-    })
-    .expect("sweep workers neither panic nor detach");
+    });
 
     results
         .into_iter()
-        .map(|m| m.into_inner().expect("every claimed task stored a result"))
+        .map(|m| {
+            m.into_inner()
+                .unwrap_or_else(PoisonError::into_inner)
+                .expect("every claimed task stored a result")
+        })
         .collect()
 }
 

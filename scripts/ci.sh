@@ -39,9 +39,6 @@ cargo test --release -p montblanc --features validate --test validate_smoke --qu
 echo "==> fault-injection smoke (degraded-but-completed Figure 3)"
 cargo run --release -p mb-bench --bin fault_ablation -- --quick
 
-echo "==> perfsuite (healthy-path check: no faults planned, no overhead, bit-identical)"
-cargo run --release -p mb-bench --bin perfsuite -- --quick
-
 echo "==> mb-lab 2-shard campaign smoke (shard, merge, pinned-digest check)"
 # Two sharded processes split the fig3-quick campaign, the merge stitches
 # their journals back into canonical slot order, and the digest gate
@@ -153,8 +150,5 @@ echo "    serve smoke wall time: ${serve_elapsed_ms} ms (budget 60000 ms)"
 if [ "$serve_elapsed_ms" -ge 60000 ]; then
     echo "serve smoke exceeded its 60 s wall-time budget"; exit 1
 fi
-
-echo "==> campaign_eta (paper-grid cost model -> BENCH_campaigns.json)"
-cargo run --release -p mb-bench --bin campaign_eta
 
 echo "CI green."
