@@ -283,7 +283,6 @@ impl ModelExec {
             self.sampled_latency += self.tlb_miss_penalty_cycles;
         }
         let paddr = self.route(addr);
-        let l1_misses_before = self.hierarchy.level_stats(0).misses;
         let (lvl, lat) = self.hierarchy.access(paddr);
         // Stores retire through the write buffer on both target cores:
         // they cost issue slots and fill bandwidth but never stall the
@@ -300,7 +299,9 @@ impl ModelExec {
             }
             _ => {}
         }
-        if self.hierarchy.level_stats(0).misses > l1_misses_before {
+        // Every access probes L1 first, so it missed L1 exactly when it
+        // was satisfied anywhere else.
+        if lvl != mb_mem::hierarchy::HitLevel::Cache(0) {
             self.sampled_l1_misses += 1;
             self.sampled_l2_accesses += 1;
             if !matches!(lvl, mb_mem::hierarchy::HitLevel::Cache(1)) {

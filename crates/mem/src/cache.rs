@@ -19,6 +19,9 @@ pub enum Replacement {
     PseudoLru,
 }
 
+/// Largest associativity a [`CacheConfig`] accepts.
+pub const MAX_WAYS: usize = 64;
+
 /// Geometry and policy of one cache level.
 ///
 /// # Examples
@@ -46,8 +49,10 @@ impl CacheConfig {
     /// # Panics
     ///
     /// Panics if any parameter is zero, `line_bytes` or the resulting
-    /// number of sets is not a power of two, or the geometry is
-    /// inconsistent (`size` not divisible by `line × ways`).
+    /// number of sets is not a power of two, the geometry is
+    /// inconsistent (`size` not divisible by `line × ways`), or
+    /// `associativity` exceeds [`MAX_WAYS`] (a set's valid bits and its
+    /// pseudo-LRU tree each fit in one 64-bit word).
     pub fn new(
         size_bytes: usize,
         line_bytes: usize,
@@ -55,6 +60,10 @@ impl CacheConfig {
         replacement: Replacement,
     ) -> Self {
         assert!(size_bytes > 0 && line_bytes > 0 && associativity > 0);
+        assert!(
+            associativity <= MAX_WAYS,
+            "associativity must be at most {MAX_WAYS}"
+        );
         assert!(line_bytes.is_power_of_two(), "line size must be 2^k");
         assert!(
             size_bytes.is_multiple_of(line_bytes * associativity),
@@ -132,14 +141,6 @@ impl AccessResult {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Way {
-    tag: u64,
-    valid: bool,
-    /// LRU timestamp (higher = more recent).
-    stamp: u64,
-}
-
 /// A set-associative cache.
 ///
 /// Addresses are byte addresses; the cache extracts set index and tag
@@ -148,21 +149,36 @@ struct Way {
 /// produced by a [`crate::pages::PageTable`], which is what makes page
 /// allocation visible to the cache.
 ///
-/// Ways are stored in one contiguous array indexed by
-/// `set * associativity + way` (not a `Vec` per set), and the index/tag
-/// extraction uses shift/mask values precomputed from the power-of-two
-/// geometry — `access` is the hottest loop in the whole model and runs
-/// once per simulated memory reference.
+/// `access` is the hottest loop in the whole model and runs once per
+/// simulated memory reference, so the storage is laid out for it:
+///
+/// * tags and LRU stamps are parallel flat arrays indexed by
+///   `set * associativity + way`, and each set's valid bits share one
+///   word, so the hit scan reads 8 bytes per way;
+/// * each set remembers its most-recently-used way, probed before the
+///   scan (a tag is resident in at most one way of a set, so the probe
+///   finds exactly the way the scan would);
+/// * the scan and the LRU victim search are branch-free over the ways,
+///   and the miss path is out of line, so the hit path inlines;
+/// * the pseudo-LRU tree is kept only under [`Replacement::PseudoLru`],
+///   the one policy that reads it;
+/// * index/tag extraction uses shift/mask values precomputed from the
+///   power-of-two geometry.
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    /// Flattened way storage: set `s`, way `w` lives at
-    /// `s * cfg.associativity + w`.
-    ways: Vec<Way>,
+    /// Tag of set `s`, way `w` at `s * cfg.associativity + w`.
+    tags: Vec<u64>,
+    /// LRU timestamp (higher = more recent), parallel to `tags`.
+    stamps: Vec<u64>,
+    /// Per-set valid bits, bit `w` for way `w`.
+    valid: Vec<u64>,
+    /// Per-set most-recently-used way.
+    mru: Vec<u8>,
     stats: CacheStats,
     clock: u64,
     rng: Xoshiro256,
-    /// Per-set PLRU tree bits (one word per set suffices for ≤64 ways).
+    /// Per-set PLRU tree bits; empty unless the policy is `PseudoLru`.
     plru: Vec<u64>,
     /// `log2(line_bytes)`.
     line_shift: u32,
@@ -170,30 +186,34 @@ pub struct Cache {
     set_mask: u64,
     /// `log2(num_sets)` — bits dropped from the line number to get the tag.
     tag_shift: u32,
+    /// Valid-bit pattern of a full set.
+    full: u64,
 }
 
 impl Cache {
     /// Creates an empty cache with the given configuration.
     pub fn new(cfg: CacheConfig) -> Self {
-        let ways = vec![
-            Way {
-                tag: 0,
-                valid: false,
-                stamp: 0,
-            };
-            cfg.num_sets() * cfg.associativity
-        ];
-        let plru = vec![0u64; cfg.num_sets()];
+        let sets = cfg.num_sets();
+        let lines = sets * cfg.associativity;
+        let plru_sets = if cfg.replacement == Replacement::PseudoLru {
+            sets
+        } else {
+            0
+        };
         Cache {
             line_shift: cfg.line_bytes.trailing_zeros(),
-            set_mask: (cfg.num_sets() - 1) as u64,
-            tag_shift: cfg.num_sets().trailing_zeros(),
+            set_mask: (sets - 1) as u64,
+            tag_shift: sets.trailing_zeros(),
+            full: u64::MAX >> (u64::BITS as usize - cfg.associativity),
             cfg,
-            ways,
+            tags: vec![0; lines],
+            stamps: vec![0; lines],
+            valid: vec![0; sets],
+            mru: vec![0; sets],
             stats: CacheStats::default(),
             clock: 0,
             rng: Xoshiro256::seed_from(0xCAC4E),
-            plru,
+            plru: vec![0; plru_sets],
         }
     }
 
@@ -209,11 +229,10 @@ impl Cache {
 
     /// Resets contents and statistics.
     pub fn reset(&mut self) {
-        for way in &mut self.ways {
-            way.valid = false;
-            way.stamp = 0;
-        }
-        self.plru.iter_mut().for_each(|b| *b = 0);
+        self.valid.fill(0);
+        self.stamps.fill(0);
+        self.mru.fill(0);
+        self.plru.fill(0);
         self.stats = CacheStats::default();
         self.clock = 0;
     }
@@ -226,51 +245,68 @@ impl Cache {
         (set, tag)
     }
 
+    /// The way of `set_idx` holding `tag`, if resident.
+    #[inline(always)]
+    fn find(&self, set_idx: usize, tag: u64) -> Option<usize> {
+        let assoc = self.cfg.associativity;
+        let valid = self.valid[set_idx];
+        let tags = &self.tags[set_idx * assoc..(set_idx + 1) * assoc];
+        let mru = self.mru[set_idx] as usize;
+        if tags[mru] == tag && valid >> mru & 1 != 0 {
+            return Some(mru);
+        }
+        // Branch-free over the ways: which way hits varies access to
+        // access, so an early-exit scan mispredicts.
+        let mut matches = 0u64;
+        for (w, &t) in tags.iter().enumerate() {
+            matches |= u64::from(t == tag) << w;
+        }
+        let hit = matches & valid;
+        (hit != 0).then(|| hit.trailing_zeros() as usize)
+    }
+
     /// Accesses one byte address (loads and stores are treated alike:
     /// write-allocate, and dirty write-back traffic is not modelled).
-    ///
-    /// The hit path is a single forward scan over the set's contiguous
-    /// ways; the same pass remembers the first free way so a miss needs
-    /// no second scan.
+    #[inline]
     pub fn access(&mut self, addr: u64) -> AccessResult {
         self.clock += 1;
         self.stats.accesses += 1;
         let (set_idx, tag) = self.set_and_tag(addr);
-        let assoc = self.cfg.associativity;
-        let base = set_idx * assoc;
 
-        let mut free: Option<usize> = None;
-        for w in 0..assoc {
-            let way = &self.ways[base + w];
-            if way.valid {
-                if way.tag == tag {
-                    self.stats.hits += 1;
-                    self.ways[base + w].stamp = self.clock;
-                    self.touch_plru(set_idx, w);
-                    return AccessResult::Hit;
-                }
-            } else if free.is_none() {
-                free = Some(w);
-            }
+        if let Some(w) = self.find(set_idx, tag) {
+            self.stats.hits += 1;
+            self.touch(set_idx, w);
+            return AccessResult::Hit;
         }
+        self.miss(set_idx, tag)
+    }
 
+    /// The miss path of [`Cache::access`], kept out of line so the hit
+    /// path stays small enough to inline.
+    #[inline(never)]
+    fn miss(&mut self, set_idx: usize, tag: u64) -> AccessResult {
         self.stats.misses += 1;
 
-        if let Some(w) = free {
+        let free = !self.valid[set_idx] & self.full;
+        if free != 0 {
+            // The lowest invalid way.
+            let w = free.trailing_zeros() as usize;
             self.fill(set_idx, w, tag);
             return AccessResult::Miss { evicted: false };
         }
 
         // Evict a victim.
+        let assoc = self.cfg.associativity;
         let victim = match self.cfg.replacement {
             Replacement::Lru => {
-                // First way with the minimum stamp, as `min_by_key` picks.
-                let set = &self.ways[base..base + assoc];
-                let mut best = 0;
-                for w in 1..assoc {
-                    if set[w].stamp < set[best].stamp {
-                        best = w;
-                    }
+                // First way with the minimum stamp, as `min_by_key` picks
+                // (written to compile to conditional moves).
+                let set = &self.stamps[set_idx * assoc..(set_idx + 1) * assoc];
+                let (mut best, mut oldest) = (0, set[0]);
+                for (w, &stamp) in set.iter().enumerate().skip(1) {
+                    let older = stamp < oldest;
+                    best = if older { w } else { best };
+                    oldest = if older { stamp } else { oldest };
                 }
                 best
             }
@@ -283,11 +319,20 @@ impl Cache {
     }
 
     fn fill(&mut self, set_idx: usize, way: usize, tag: u64) {
-        let w = &mut self.ways[set_idx * self.cfg.associativity + way];
-        w.tag = tag;
-        w.valid = true;
-        w.stamp = self.clock;
-        self.touch_plru(set_idx, way);
+        self.tags[set_idx * self.cfg.associativity + way] = tag;
+        self.valid[set_idx] |= 1 << way;
+        self.touch(set_idx, way);
+    }
+
+    /// Marks `way` of `set_idx` most recently used.
+    #[inline(always)]
+    fn touch(&mut self, set_idx: usize, way: usize) {
+        self.stamps[set_idx * self.cfg.associativity + way] = self.clock;
+        // `way < MAX_WAYS`, which fits a byte.
+        self.mru[set_idx] = way as u8;
+        if self.cfg.replacement == Replacement::PseudoLru {
+            self.touch_plru(set_idx, way);
+        }
     }
 
     /// Marks `way` most-recently-used in the PLRU tree: set the bits on
@@ -334,10 +379,7 @@ impl Cache {
     /// Returns `true` if the line containing `addr` is resident.
     pub fn contains(&self, addr: u64) -> bool {
         let (set_idx, tag) = self.set_and_tag(addr);
-        let base = set_idx * self.cfg.associativity;
-        self.ways[base..base + self.cfg.associativity]
-            .iter()
-            .any(|w| w.valid && w.tag == tag)
+        self.find(set_idx, tag).is_some()
     }
 }
 
@@ -362,6 +404,13 @@ mod tests {
     #[should_panic]
     fn bad_geometry_rejected() {
         let _ = CacheConfig::new(100, 16, 2, Replacement::Lru);
+    }
+
+    #[test]
+    #[should_panic(expected = "associativity must be at most 64")]
+    fn plru_beyond_one_tree_word_rejected() {
+        // 128 ways would need PLRU tree nodes 64..127: past one word.
+        let _ = CacheConfig::new(128 * 16, 16, 128, Replacement::PseudoLru);
     }
 
     #[test]

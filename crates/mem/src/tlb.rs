@@ -29,7 +29,17 @@ impl TlbConfig {
     }
 }
 
+/// Slots in the direct-mapped lookup hint (a power of two).
+const HINT_SLOTS: usize = 64;
+
 /// A fully-associative, LRU translation look-aside buffer.
+///
+/// Entries live in two parallel arrays (page numbers and LRU stamps) in
+/// install order. A lookup first checks the most-recently-used entry,
+/// then a direct-mapped hint from the page number's low bits to an entry
+/// index, and only then scans. Both shortcuts are verified against the
+/// stored page number before use, and a page number is installed at most
+/// once, so they find exactly the entry the scan would.
 ///
 /// # Examples
 ///
@@ -43,8 +53,16 @@ impl TlbConfig {
 #[derive(Debug, Clone)]
 pub struct Tlb {
     cfg: TlbConfig,
-    /// (virtual page number, stamp), LRU by stamp.
-    entries: Vec<(u64, u64)>,
+    /// `log2(page_bytes)`.
+    page_shift: u32,
+    /// Virtual page number of each installed entry.
+    vpns: Vec<u64>,
+    /// LRU stamp of each entry (higher = more recent), parallel to `vpns`.
+    stamps: Vec<u64>,
+    /// Index of the most recently used entry.
+    mru: usize,
+    /// Entry index last seen for each `vpn % HINT_SLOTS`; may be stale.
+    hint: [usize; HINT_SLOTS],
     clock: u64,
     hits: u64,
     misses: u64,
@@ -55,7 +73,11 @@ impl Tlb {
     pub fn new(cfg: TlbConfig) -> Self {
         Tlb {
             cfg,
-            entries: Vec::with_capacity(cfg.entries),
+            page_shift: cfg.page_bytes.trailing_zeros(),
+            vpns: Vec::with_capacity(cfg.entries),
+            stamps: Vec::with_capacity(cfg.entries),
+            mru: 0,
+            hint: [0; HINT_SLOTS],
             clock: 0,
             hits: 0,
             misses: 0,
@@ -69,28 +91,49 @@ impl Tlb {
 
     /// Looks up the page of `vaddr`; returns `true` on a hit. Misses
     /// install the translation (evicting LRU if full).
+    #[inline]
     pub fn access(&mut self, vaddr: u64) -> bool {
         self.clock += 1;
-        let vpn = vaddr / self.cfg.page_bytes as u64;
-        if let Some(e) = self.entries.iter_mut().find(|e| e.0 == vpn) {
-            e.1 = self.clock;
+        let vpn = vaddr >> self.page_shift;
+        let slot = vpn as usize % HINT_SLOTS;
+        let hinted = self.hint[slot];
+        let found = if self.vpns.get(self.mru) == Some(&vpn) {
+            Some(self.mru)
+        } else if self.vpns.get(hinted) == Some(&vpn) {
+            Some(hinted)
+        } else {
+            self.vpns.iter().position(|&v| v == vpn)
+        };
+        if let Some(i) = found {
+            self.stamps[i] = self.clock;
             self.hits += 1;
+            self.remember(slot, i);
             return true;
         }
         self.misses += 1;
-        if self.entries.len() < self.cfg.entries {
-            self.entries.push((vpn, self.clock));
+        let i = if self.vpns.len() < self.cfg.entries {
+            self.vpns.push(vpn);
+            self.stamps.push(self.clock);
+            self.vpns.len() - 1
         } else {
             let lru = self
-                .entries
+                .stamps
                 .iter()
                 .enumerate()
-                .min_by_key(|(_, e)| e.1)
-                .map(|(i, _)| i)
-                .expect("non-empty");
-            self.entries[lru] = (vpn, self.clock);
-        }
+                .min_by_key(|&(_, &stamp)| stamp)
+                .map(|(j, _)| j)
+                .expect("a full TLB has entries");
+            self.vpns[lru] = vpn;
+            self.stamps[lru] = self.clock;
+            lru
+        };
+        self.remember(slot, i);
         false
+    }
+
+    fn remember(&mut self, slot: usize, entry: usize) {
+        self.mru = entry;
+        self.hint[slot] = entry;
     }
 
     /// Hits so far.
@@ -105,7 +148,8 @@ impl Tlb {
 
     /// Clears contents and counters.
     pub fn reset(&mut self) {
-        self.entries.clear();
+        self.vpns.clear();
+        self.stamps.clear();
         self.clock = 0;
         self.hits = 0;
         self.misses = 0;

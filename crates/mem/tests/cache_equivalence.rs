@@ -1,8 +1,9 @@
-//! Property test: the flattened `Cache` (contiguous way storage +
-//! precomputed shift/masks) behaves identically to the original
-//! nested-`Vec` implementation, re-implemented here as a reference
-//! oracle — every per-access outcome, the final statistics and residency
-//! probes must agree across replacement policies and edge geometries.
+//! Property test: the flattened `Cache` (parallel tag/stamp arrays,
+//! per-set valid words, the MRU-way probe, precomputed shift/masks)
+//! behaves identically to the original nested-`Vec` implementation,
+//! re-implemented here as a reference oracle — every per-access outcome,
+//! the final statistics and residency probes must agree across
+//! replacement policies and edge geometries.
 
 use mb_mem::cache::{AccessResult, Cache, CacheConfig, Replacement};
 use mb_simcore::rng::{Rng, Xoshiro256};
@@ -207,5 +208,101 @@ proptest! {
         for probe in (0..8192u64).step_by(16) {
             prop_assert_eq!(real.contains(probe), oracle.contains(probe));
         }
+    }
+}
+
+/// Shapes beyond the edge set above: the largest associativity a
+/// `CacheConfig` accepts, in one set and in two, and an 8-way L2 shape
+/// scaled down (64 sets of 32-byte lines).
+fn wide_geometry(index: usize) -> CacheConfig {
+    let (size, line, assoc) = match index % 3 {
+        0 => (64 * 16, 16, mb_mem::cache::MAX_WAYS), // fully associative
+        1 => (2 * 64 * 32, 32, mb_mem::cache::MAX_WAYS),
+        _ => (16 * 1024, 32, 8), // Snowball/Tegra2 L2 shape, scaled down
+    };
+    let replacement = match index / 3 % 3 {
+        0 => Replacement::Lru,
+        1 => Replacement::Random,
+        _ => Replacement::PseudoLru,
+    };
+    CacheConfig::new(size, line, assoc, replacement)
+}
+
+/// An address stream that keeps returning to one "home" line of a set
+/// between visits to other lines of the same set — the pattern the
+/// MRU-way probe short-circuits, with enough distinct lines
+/// (`2 × ways + 1`) to force evictions, home included.
+fn same_set_stream(cfg: &CacheConfig, set: usize, picks: &[(bool, u64, u64)]) -> Vec<u64> {
+    let sets = cfg.num_sets() as u64;
+    let line = cfg.line_bytes as u64;
+    let set = set as u64 % sets;
+    let others = 2 * cfg.associativity as u64 + 1;
+    picks
+        .iter()
+        .map(|&(home, j, offset)| {
+            let k = if home { 0 } else { 1 + j % others };
+            (set + k * sets) * line + offset % line
+        })
+        .collect()
+}
+
+/// Runs `addrs` through both implementations, optionally resetting both
+/// halfway, and compares every outcome, the statistics, and residency
+/// over `0..probe_span`.
+fn assert_matches_reference(cfg: CacheConfig, addrs: &[u64], with_reset: bool, probe_span: u64) {
+    let mut real = Cache::new(cfg);
+    let mut oracle = RefCache::new(cfg);
+    let split = addrs.len() / 2;
+    for (i, &addr) in addrs.iter().enumerate() {
+        if with_reset && i == split {
+            real.reset();
+            let fresh_rng = std::mem::replace(&mut oracle.rng, Xoshiro256::seed_from(0));
+            oracle = RefCache::new(cfg);
+            oracle.rng = fresh_rng;
+        }
+        let got = real.access(addr);
+        let want = oracle.access(addr);
+        prop_assert_eq!(got, want, "access #{} to {:#x} under {:?}", i, addr, cfg);
+    }
+    let stats = *real.stats();
+    prop_assert_eq!(stats.accesses, oracle.accesses);
+    prop_assert_eq!(stats.hits, oracle.hits);
+    prop_assert_eq!(stats.misses, oracle.misses);
+    prop_assert_eq!(stats.evictions, oracle.evictions);
+    for probe in (0..probe_span).step_by(cfg.line_bytes) {
+        prop_assert_eq!(real.contains(probe), oracle.contains(probe));
+    }
+    for &addr in addrs {
+        prop_assert_eq!(real.contains(addr), oracle.contains(addr));
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn same_set_revisits_match_nested_reference(
+        geo in 0usize..27,
+        set in 0usize..64,
+        picks in prop::collection::vec(
+            (proptest::arbitrary::any::<bool>(), 0u64..1024, 0u64..64),
+            1..400,
+        ),
+        with_reset in proptest::arbitrary::any::<bool>(),
+    ) {
+        // Both the edge geometries and the wide ones.
+        let cfg = if geo < 18 { geometry(geo) } else { wide_geometry(geo - 18) };
+        let addrs = same_set_stream(&cfg, set, &picks);
+        assert_matches_reference(cfg, &addrs, with_reset, 8192);
+    }
+
+    #[test]
+    fn wide_geometries_match_nested_reference(
+        geo in 0usize..9,
+        addrs in prop::collection::vec(0u64..65536, 1..600),
+        with_reset in proptest::arbitrary::any::<bool>(),
+    ) {
+        let cfg = wide_geometry(geo);
+        assert_matches_reference(cfg, &addrs, with_reset, 65536);
     }
 }
