@@ -47,6 +47,10 @@ pub struct FnDef {
     /// Whether the innermost named scope is an `impl`/`trait` block —
     /// method calls only resolve to such functions.
     pub in_impl: bool,
+    /// Whether that block is an inherent `impl Type` (not a trait or a
+    /// trait impl): such methods are only callable from crates that
+    /// depend on the defining one.
+    pub inherent: bool,
     /// Whether the definition sits under a `#[test]`-ish attribute or a
     /// `#[cfg(test)]` scope.
     pub is_test: bool,
@@ -129,8 +133,9 @@ pub fn parse(
 enum ScopeKind {
     /// `mod name { ... }`
     Mod(String),
-    /// `impl Type { ... }` / `trait Name { ... }`
-    Type(String),
+    /// `impl Type { ... }` / `trait Name { ... }`; the flag marks an
+    /// inherent impl.
+    Type(String, bool),
     /// `fn name { ... }` — index into `fns`.
     Fn(usize),
     /// Any other brace pair (match, struct body, closure, ...).
@@ -217,7 +222,7 @@ impl<'s> Parser<'s> {
     /// Name of the innermost `impl`/`trait` scope (for `Self::` calls).
     fn current_type(&self) -> Option<&str> {
         self.scopes.iter().rev().find_map(|s| match &s.kind {
-            ScopeKind::Type(name) => Some(name.as_str()),
+            ScopeKind::Type(name, _) => Some(name.as_str()),
             _ => None,
         })
     }
@@ -423,19 +428,21 @@ impl<'s> Parser<'s> {
             header.push(t);
             self.i += 1;
         }
-        let name = if is_trait {
-            header
+        let (name, inherent) = if is_trait {
+            let name = header
                 .iter()
                 .find(|t| !t.starts_with('<'))
                 .copied()
                 .unwrap_or("")
-                .to_string()
+                .to_string();
+            (name, false)
         } else {
-            impl_type_name(&header)
+            let (name, trait_impl) = impl_type_name(&header);
+            (name, !trait_impl)
         };
         if self.peek(0) == Some("{") {
             self.scopes.push(Scope {
-                kind: ScopeKind::Type(name),
+                kind: ScopeKind::Type(name, inherent),
                 is_test: test,
             });
             self.i += 1;
@@ -468,26 +475,30 @@ impl<'s> Parser<'s> {
                     let body_start = self.raw_idx(0);
                     let mut path: Vec<String> = self.prefix.clone();
                     path.extend(self.scopes.iter().filter_map(|s| match &s.kind {
-                        ScopeKind::Mod(n) | ScopeKind::Type(n) => Some(n.clone()),
+                        ScopeKind::Mod(n) | ScopeKind::Type(n, _) => Some(n.clone()),
                         ScopeKind::Fn(idx) => Some(self.fns[*idx].name.clone()),
                         ScopeKind::Block => None,
                     }));
                     path.push(name.clone());
-                    let in_impl = matches!(
-                        self.scopes.iter().rev().find(|s| {
-                            matches!(s.kind, ScopeKind::Mod(_) | ScopeKind::Type(_))
-                        }),
+                    let owner = self
+                        .scopes
+                        .iter()
+                        .rev()
+                        .find(|s| matches!(s.kind, ScopeKind::Mod(_) | ScopeKind::Type(..)));
+                    let (in_impl, inherent) = match owner {
                         Some(Scope {
-                            kind: ScopeKind::Type(_),
+                            kind: ScopeKind::Type(_, inherent),
                             ..
-                        })
-                    );
+                        }) => (true, *inherent),
+                        _ => (false, false),
+                    };
                     let idx = self.fns.len();
                     self.fns.push(FnDef {
                         path: path.join("::"),
                         name,
                         line: fn_line,
                         in_impl,
+                        inherent,
                         is_test: test,
                         body: (body_start, body_start),
                         calls: Vec::new(),
@@ -605,7 +616,8 @@ impl<'s> Parser<'s> {
 /// Extracts the self-type name from an `impl` header's tokens (between
 /// `impl` and `{`): the last path identifier of the type after `for`
 /// when present, else of the first type path after the generic params.
-fn impl_type_name(header: &[&str]) -> String {
+/// The flag reports whether a top-level `for` made it a trait impl.
+fn impl_type_name(header: &[&str]) -> (String, bool) {
     // Split off leading generic params `<...>`.
     let mut idx = 0;
     if header.first() == Some(&"<") {
@@ -626,12 +638,14 @@ fn impl_type_name(header: &[&str]) -> String {
     }
     // Prefer the segment after a top-level `for`.
     let mut depth = 0i32;
+    let mut trait_impl = false;
     for (k, t) in header.iter().enumerate().skip(idx) {
         match *t {
             "<" => depth += 1,
             ">" => depth -= 1,
             "for" if depth == 0 => {
                 idx = k + 1;
+                trait_impl = true;
             }
             "where" if depth == 0 => break,
             _ => {}
@@ -662,7 +676,7 @@ fn impl_type_name(header: &[&str]) -> String {
             _ => {}
         }
     }
-    name
+    (name, trait_impl)
 }
 
 /// `use a::b::{self, c}` — a `self` leaf names its parent module.
@@ -713,6 +727,19 @@ mod tests {
         assert!(p.fns[2].in_impl);
         assert!(p.fns[3].in_impl);
         assert!(!p.fns[0].in_impl);
+        assert!(p.fns[2].inherent, "impl S is inherent");
+        assert!(!p.fns[3].inherent, "trait methods are not");
+    }
+
+    #[test]
+    fn trait_impls_are_not_inherent() {
+        let p = parse_src(
+            "impl<T: Clone> std::fmt::Display for Grid<T> { fn fmt(&self) {} }
+             impl<T> Grid<T> where T: Clone { fn get(&self) {} }
+",
+        );
+        assert!(!p.fns[0].inherent);
+        assert!(p.fns[1].inherent);
     }
 
     #[test]

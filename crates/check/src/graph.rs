@@ -12,7 +12,12 @@
 //!   the crate root;
 //! * method calls (`x.f()`) resolve to *every* impl function named `f` —
 //!   a sound over-approximation for reachability passes, never used to
-//!   claim a unique callee.
+//!   claim a unique callee;
+//! * an inherent method (`impl Type`, not a trait impl) is only reached
+//!   from crates whose dependency closure holds its crate. Trait and
+//!   trait-impl methods resolve workspace-wide, because a generic
+//!   kernel's `exec.load()` reaches `Exec` impls in crates downstream of
+//!   it.
 //!
 //! Paths that resolve to nothing (std, vendored externals) simply add no
 //! edge. The graph can therefore miss nothing it claims to have — every
@@ -20,7 +25,12 @@
 //! are upper bounds.
 
 use crate::ast::{Call, CallKind, FnDef, ParsedFile};
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
+
+/// Per crate (Rust name), the crates it may call into: itself and its
+/// transitive workspace dependencies. Crates absent from the map (e.g.
+/// examples) may call into any crate.
+pub type CrateDeps = BTreeMap<String, BTreeSet<String>>;
 
 /// One function node in the workspace graph.
 #[derive(Debug, Clone)]
@@ -35,6 +45,10 @@ pub struct Node {
     pub line: usize,
     /// Defined inside an `impl`/`trait` block.
     pub in_impl: bool,
+    /// Defined inside an inherent `impl Type` block.
+    pub inherent: bool,
+    /// Rust name of the defining crate.
+    pub krate: String,
     /// Test-only code (`#[cfg(test)]` / `#[test]`).
     pub is_test: bool,
     /// Body token range in the owning file's token stream.
@@ -61,8 +75,9 @@ pub struct Graph {
 
 impl Graph {
     /// Builds the graph from every parsed file. `files[i]` must be the
-    /// file the `file_idx = i` nodes came from.
-    pub fn build(files: &[ParsedFile]) -> Graph {
+    /// file the `file_idx = i` nodes came from; `deps` limits which
+    /// crates' inherent methods a call can reach.
+    pub fn build(files: &[ParsedFile], deps: &CrateDeps) -> Graph {
         let mut g = Graph::default();
         for (file_idx, file) in files.iter().enumerate() {
             for f in &file.fns {
@@ -80,6 +95,8 @@ impl Graph {
                     file: file.rel.clone(),
                     line: f.line,
                     in_impl: f.in_impl,
+                    inherent: f.inherent,
+                    krate: file.crate_name.clone(),
                     is_test: f.is_test,
                     body: f.body,
                     file_idx,
@@ -98,9 +115,13 @@ impl Graph {
             for f in &file.fns {
                 let caller = next_node;
                 next_node += 1;
+                let visible = deps.get(&file.crate_name);
                 for call in &f.calls {
                     for callee in g.resolve(file, f, &uses, call) {
-                        if callee != caller {
+                        let node = &g.nodes[callee];
+                        let reachable =
+                            !node.inherent || visible.is_none_or(|v| v.contains(&node.krate));
+                        if callee != caller && reachable {
                             g.edges[caller].push(callee);
                         }
                     }
@@ -326,6 +347,12 @@ mod tests {
         ast::parse(src, &toks, rel, krate, &mods)
     }
 
+    impl Graph {
+        fn build_unscoped(files: &[ParsedFile]) -> Graph {
+            Graph::build(files, &CrateDeps::new())
+        }
+    }
+
     fn edge(g: &Graph, from: &str, to: &str) -> bool {
         let f = g.lookup_path(from);
         let t = g.lookup_path(to);
@@ -347,7 +374,7 @@ mod tests {
             &[],
             "use a::helper;\nfn entry() { helper(); a::helper(); }\n",
         );
-        let g = Graph::build(&[a, b]);
+        let g = Graph::build_unscoped(&[a, b]);
         assert!(edge(&g, "b::entry", "a::helper"));
     }
 
@@ -366,7 +393,7 @@ mod tests {
             "use a::inner as ren;\nuse a::inner::target as t2;\n\
              fn f() { ren::target(); }\nfn g() { t2(); }\n",
         );
-        let g = Graph::build(&[a, b]);
+        let g = Graph::build_unscoped(&[a, b]);
         assert!(edge(&g, "b::f", "a::inner::target"));
         assert!(edge(&g, "b::g", "a::inner::target"));
     }
@@ -392,7 +419,7 @@ mod tests {
             &["m"],
             "pub fn sibling() {}\n",
         );
-        let g = Graph::build(&[lib, deep, sib]);
+        let g = Graph::build_unscoped(&[lib, deep, sib]);
         assert!(edge(&g, "a::m::n::f", "a::root"));
         assert!(edge(&g, "a::m::n::f", "a::m::sibling"));
         assert!(edge(&g, "a::m::n::f", "a::m::n::here"));
@@ -406,7 +433,7 @@ mod tests {
             &["x"],
             "fn one() { two(); }\nfn two() {}\n",
         );
-        let g = Graph::build(&[f]);
+        let g = Graph::build_unscoped(&[f]);
         assert!(edge(&g, "a::x::one", "a::x::two"));
     }
 
@@ -425,19 +452,58 @@ mod tests {
             "struct B; impl B { fn go(&self) {} }\n\
              fn call(x: &B) { x.go(); }\n",
         );
-        let g = Graph::build(&[a, b]);
+        let g = Graph::build_unscoped(&[a, b]);
         assert!(edge(&g, "b::call", "a::A::go"), "over-approximation");
         assert!(edge(&g, "b::call", "b::B::go"));
         // But free functions of the same name are not method targets.
         let c = parse_file("crates/c/src/lib.rs", "c", &[], "fn go() {}\n");
-        let g2 = Graph::build(&[c, parse_file(
-            "crates/d/src/lib.rs",
-            "d",
-            &[],
-            "fn call(x: &X) { x.go(); }\n",
-        )]);
+        let g2 = Graph::build_unscoped(&[
+            c,
+            parse_file(
+                "crates/d/src/lib.rs",
+                "d",
+                &[],
+                "fn call(x: &X) { x.go(); }\n",
+            ),
+        ]);
         let caller = g2.lookup_path("d::call")[0];
         assert!(g2.edges[caller].is_empty());
+    }
+
+    #[test]
+    fn inherent_methods_resolve_only_within_the_dependency_closure() {
+        let a = parse_file(
+            "crates/a/src/lib.rs",
+            "a",
+            &[],
+            "struct A; impl A { fn go(&self) {} }
+             impl Run for A { fn run(&self) {} }
+",
+        );
+        let b = parse_file(
+            "crates/b/src/lib.rs",
+            "b",
+            &[],
+            "struct B; impl B { fn go(&self) {} }
+             fn call(x: &B) { x.go(); x.run(); }
+",
+        );
+        let deps: CrateDeps = [
+            ("a".to_string(), BTreeSet::from(["a".to_string()])),
+            ("b".to_string(), BTreeSet::from(["b".to_string()])),
+        ]
+        .into_iter()
+        .collect();
+        let g = Graph::build(&[a, b], &deps);
+        assert!(
+            !edge(&g, "b::call", "a::A::go"),
+            "a is not a dependency of b"
+        );
+        assert!(edge(&g, "b::call", "b::B::go"));
+        assert!(
+            edge(&g, "b::call", "a::A::run"),
+            "trait impls stay workspace-wide"
+        );
     }
 
     #[test]
@@ -456,7 +522,7 @@ mod tests {
             &[],
             "use a::fig5;\nfn f() { let m = fig5::SlotMeasurer::new(); }\n",
         );
-        let g = Graph::build(&[a, b]);
+        let g = Graph::build_unscoped(&[a, b]);
         assert!(edge(&g, "b::f", "a::fig5::SlotMeasurer::new"));
     }
 
@@ -468,7 +534,7 @@ mod tests {
             &[],
             "fn a() { b(); }\nfn b() { c(); }\nfn c() {}\nfn lone() {}\n",
         );
-        let g = Graph::build(&[f]);
+        let g = Graph::build_unscoped(&[f]);
         let a = g.lookup_path("a::a")[0];
         let c = g.lookup_path("a::c")[0];
         let lone = g.lookup_path("a::lone")[0];
@@ -489,7 +555,7 @@ mod tests {
             &["fig7"],
             "pub fn measure_slot() {}\n",
         );
-        let g = Graph::build(&[f]);
+        let g = Graph::build_unscoped(&[f]);
         assert_eq!(g.lookup_suffix("fig7::measure_slot").len(), 1);
         assert_eq!(g.lookup_suffix("measure_slot").len(), 1);
         assert_eq!(g.lookup_suffix("a::fig7::measure_slot").len(), 1);

@@ -55,7 +55,7 @@ pub use report::{render_human, render_json, render_sarif, Finding};
 pub use rules::{check_file, RuleId, ALL_RULES};
 pub use source::SourceFile;
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -187,7 +187,7 @@ impl Workspace {
             ));
         }
         let asts: Vec<ast::ParsedFile> = files.iter().map(|f| f.ast.clone()).collect();
-        let graph = graph::Graph::build(&asts);
+        let graph = graph::Graph::build(&asts, &crate_dependencies(root)?);
         Ok(Workspace {
             root: root.to_path_buf(),
             files,
@@ -281,29 +281,88 @@ fn crate_rust_name(
     name
 }
 
-/// Extracts the crate's Rust name from manifest text: `[lib] name`
-/// wins over `[package] name`; dashes become underscores.
-fn manifest_crate_name(text: &str) -> Option<String> {
-    let mut section = "";
-    let mut package = None;
-    let mut lib = None;
-    for line in text.lines() {
-        let line = line.trim();
-        if line.starts_with('[') {
-            section = line;
-        } else if let Some(rest) = line.strip_prefix("name") {
-            let rest = rest.trim_start();
-            if let Some(value) = rest.strip_prefix('=') {
-                let value = value.trim().trim_matches('"').replace('-', "_");
-                match section {
-                    "[package]" => package = Some(value),
-                    "[lib]" => lib = Some(value),
-                    _ => {}
+/// The dependency closure of every crate under `crates/` with a
+/// `Cargo.toml`: itself plus every workspace crate it reaches through
+/// `[dependencies]`, `[dev-dependencies]` or `[build-dependencies]`
+/// entries (keys matched against the workspace's package names).
+///
+/// # Errors
+///
+/// Returns the error of listing `crates/`.
+fn crate_dependencies(root: &Path) -> io::Result<graph::CrateDeps> {
+    // Package name (dashes as underscores) → Rust name, and Rust name →
+    // direct dependency keys.
+    let mut rust_of: BTreeMap<String, String> = BTreeMap::new();
+    let mut direct: BTreeMap<String, Vec<String>> = BTreeMap::new();
+    for entry in std::fs::read_dir(root.join("crates"))? {
+        let Ok(text) = std::fs::read_to_string(entry?.path().join("Cargo.toml")) else {
+            continue;
+        };
+        let (Some(package), Some(rust)) = (
+            manifest_name(&text, "[package]"),
+            manifest_crate_name(&text),
+        ) else {
+            continue;
+        };
+        rust_of.insert(package, rust.clone());
+        direct.insert(rust, manifest_dependencies(&text));
+    }
+    let mut closures = graph::CrateDeps::new();
+    for krate in direct.keys() {
+        let mut seen = BTreeSet::from([krate.clone()]);
+        let mut stack = vec![krate];
+        while let Some(k) = stack.pop() {
+            for dep in direct[k].iter().filter_map(|d| rust_of.get(d)) {
+                if seen.insert(dep.clone()) {
+                    stack.push(dep);
                 }
             }
         }
+        closures.insert(krate.clone(), seen);
     }
-    lib.or(package)
+    Ok(closures)
+}
+
+/// Dependency keys of manifest text (`foo = …`, `foo.workspace = …`),
+/// dashes as underscores.
+fn manifest_dependencies(text: &str) -> Vec<String> {
+    manifest_entries(text)
+        .filter(|(section, _, _)| section.ends_with("dependencies]") && !section.starts_with("[["))
+        .map(|(_, key, _)| {
+            key.split('.')
+                .next()
+                .unwrap_or(key)
+                .trim()
+                .replace('-', "_")
+        })
+        .collect()
+}
+
+/// `(section header, key, value)` of every `key = value` line.
+fn manifest_entries(text: &str) -> impl Iterator<Item = (&str, &str, &str)> {
+    let mut section = "";
+    text.lines().filter_map(move |line| {
+        let line = line.trim();
+        if line.starts_with('[') {
+            section = line;
+            return None;
+        }
+        let (key, value) = line.split_once('=')?;
+        (!line.starts_with('#')).then(|| (section, key.trim(), value.trim()))
+    })
+}
+
+/// Extracts the crate's Rust name from manifest text: `[lib] name`
+/// wins over `[package] name`; dashes become underscores.
+fn manifest_crate_name(text: &str) -> Option<String> {
+    manifest_name(text, "[lib]").or_else(|| manifest_name(text, "[package]"))
+}
+
+/// The `name` of one manifest section, dashes as underscores.
+fn manifest_name(text: &str, section: &str) -> Option<String> {
+    manifest_entries(text)
+        .find(|&(s, key, _)| s == section && key == "name")
+        .map(|(_, _, value)| value.trim_matches('"').replace('-', "_"))
 }
 
 /// The module chain of a file within its crate. Only `src/` trees have
@@ -385,6 +444,19 @@ mod tests {
     }
 
     #[test]
+    fn manifest_dependencies_list_every_dependency_table() {
+        let toml = "[package]\nname = \"mb-x\"\nversion.workspace = true\n\n\
+                    [dependencies]\nmb-simcore = { workspace = true }\n\
+                    mb-mem.workspace = true\n# mb-net = { workspace = true }\n\n\
+                    [[bin]]\nname = \"tool\"\n\n\
+                    [dev-dependencies]\nproptest = { workspace = true }\n";
+        assert_eq!(
+            manifest_dependencies(toml),
+            ["mb_simcore", "mb_mem", "proptest"]
+        );
+    }
+
+    #[test]
     fn manifest_names_resolve_lib_over_package() {
         let toml = "[package]\nname = \"mb-check\"\n\n[lib]\nname = \"mb_check\"\n";
         assert_eq!(manifest_crate_name(toml), Some("mb_check".to_string()));
@@ -438,7 +510,7 @@ mod tests {
         let ws = Workspace {
             root: PathBuf::new(),
             files: vec![file],
-            graph: graph::Graph::build(&asts),
+            graph: graph::Graph::build(&asts, &graph::CrateDeps::new()),
         };
         assert_eq!(
             ws.enclosing_fn("crates/x/src/lib.rs", 2),
@@ -461,7 +533,10 @@ mod tests {
         })
         .collect();
         let asts: Vec<_> = files.iter().map(|f| f.ast.clone()).collect();
-        let analysis = taint::analyze(&files, &graph::Graph::build(&asts));
+        let analysis = taint::analyze(
+            &files,
+            &graph::Graph::build(&asts, &graph::CrateDeps::new()),
+        );
         let hits: Vec<(&str, &str, usize)> = analysis
             .sources
             .iter()

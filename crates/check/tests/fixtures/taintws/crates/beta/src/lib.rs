@@ -23,3 +23,18 @@ pub fn drive() -> f64 {
 pub fn idle() -> f64 {
     0.0
 }
+
+/// Holds the inherent `config` this crate's method call resolves to.
+pub struct Settings;
+
+impl Settings {
+    /// Inherent: `mb_gamma::Gauge::config` has the same name.
+    pub fn config(&self) -> f64 {
+        1.0
+    }
+}
+
+/// Reaches `Settings::config` but not `mb_gamma::Gauge::config`.
+pub fn configure() -> f64 {
+    Settings.config()
+}

@@ -1,8 +1,10 @@
 //! End-to-end taint tests over the seeded fixture workspace in
-//! `fixtures/taintws/`: a two-crate tree where `alpha::clock::stamp`
+//! `fixtures/taintws/`: a three-crate tree where `alpha::clock::stamp`
 //! reads the wall clock and everything else reaches it through the call
 //! graph — across a `crate::` path, a `use … as` rename, and a method
-//! call. The edge list is pinned golden-style, so any resolver change
+//! call. `gamma`, downstream of `alpha` and unknown to `beta`, pins the
+//! method-resolution scope: trait impls resolve workspace-wide, inherent
+//! methods only within the caller's crate-dependency closure. The edge list is pinned golden-style, so any resolver change
 //! shows up as a diff here before it shows up as a missed taint.
 
 use mb_check::taint;
@@ -32,10 +34,19 @@ fn call_graph_matches_golden_edges() {
     let expected = [
         // crate-relative path: `crate::clock::stamp()`.
         "mb_alpha::model::timed_model -> mb_alpha::clock::stamp",
+        // trait method call in generic code: `p.sample()` reaches the
+        // impl in `mb_gamma`, a crate downstream of `mb_alpha`.
+        "mb_alpha::probe::observe -> mb_gamma::Gauge::sample",
         // use-rename: `use mb_alpha::model as m; m::timed_model()`.
         "mb_beta::Runner::run -> mb_alpha::model::timed_model",
+        // inherent method call: `Settings.config()` reaches this
+        // crate's `config` but not `mb_gamma::Gauge::config`, since
+        // `mb_beta` does not depend on `mb_gamma`.
+        "mb_beta::configure -> mb_beta::Settings::config",
         // method call: `r.run()` over-approximated to the impl fn.
         "mb_beta::drive -> mb_beta::Runner::run",
+        // and `self.config()` in `mb_gamma` misses `mb_beta`'s likewise.
+        "mb_gamma::Gauge::sample -> mb_gamma::Gauge::config",
     ];
     assert_eq!(edges, expected, "call-graph edges drifted");
 }

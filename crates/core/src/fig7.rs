@@ -13,8 +13,8 @@
 use crate::platform::Platform;
 use mb_cpu::counters::Counter;
 use mb_cpu::exec_model::ModelExec;
-use mb_cpu::ops::Exec;
 use mb_kernels::magicfilter::{Grid3, MagicfilterWorkspace};
+use mb_kernels::membench::spill_traffic;
 use mb_tuner::analysis::{staircase_steps, sweet_spot, SweetSpot};
 use mb_tuner::search::ExhaustiveSearch;
 use mb_tuner::space::ParameterSpace;
@@ -105,16 +105,7 @@ pub fn measure_variant(
         // 3 passes × (points / unroll) groups × 16 taps.
         let groups = (3 * grid.len() as u64) / unroll as u64;
         let stack_base = (grid.len() as u64 * 8 + 8192) & !4095;
-        for g in 0..groups {
-            for _tap in 0..16u32 {
-                for s in 0..spills as u64 {
-                    let addr = stack_base + (s % 16) * 8;
-                    exec.store(addr, 8);
-                    exec.load(addr, 8);
-                    let _ = g;
-                }
-            }
-        }
+        spill_traffic(exec, stack_base, u64::from(spills), 8, groups * 16);
     }
     let report = exec.finish();
     Fig7Point {

@@ -37,7 +37,7 @@ use mb_simcore::time::{Cycles, SimTime};
 
 use crate::arch::{CoreModel, Overlap};
 use crate::counters::{Counter, CounterSet};
-use crate::ops::{Exec, FlopKind, OpCounts, Precision};
+use crate::ops::{Exec, FlopKind, OpCounts, Precision, Stream};
 
 /// Size of a simulated window when sampling (accesses).
 const SAMPLE_WINDOW: u64 = 1024;
@@ -82,6 +82,7 @@ pub struct ModelExec {
     tlb: Tlb,
     tlb_miss_penalty_cycles: u64,
     l1_latency: u64,
+    l1_line_bytes: u64,
     /// Per cache level: `(line_bytes / fill_bytes_per_cycle)` — transfer
     /// cycles one line fetched *from* that level occupies.
     fill_cost: Vec<f64>,
@@ -120,7 +121,8 @@ impl ModelExec {
     ) -> Self {
         assert!(sample_rate > 0, "sample rate must be at least 1");
         let l1_latency = hierarchy.levels[0].hit_latency_cycles;
-        let line = hierarchy.l1_line_bytes() as f64;
+        let l1_line_bytes = hierarchy.l1_line_bytes() as u64;
+        let line = l1_line_bytes as f64;
         let fill_cost: Vec<f64> = hierarchy
             .levels
             .iter()
@@ -137,6 +139,7 @@ impl ModelExec {
             tlb: Tlb::new(tlb),
             tlb_miss_penalty_cycles,
             l1_latency,
+            l1_line_bytes,
             fill_cost,
             memory_fill_cost,
             sample_rate,
@@ -277,8 +280,16 @@ impl ModelExec {
         if self.sample_rate > 1 && !window.is_multiple_of(self.sample_rate as u64) {
             return;
         }
+        self.simulate(addr, is_store);
+    }
+
+    /// Costs one sampled access through the TLB and the hierarchy.
+    /// Returns whether it hit both the TLB and L1.
+    #[inline]
+    fn simulate(&mut self, addr: u64, is_store: bool) -> bool {
         self.sampled_accesses += 1;
-        if !self.tlb.access(addr) {
+        let tlb_hit = self.tlb.access(addr);
+        if !tlb_hit {
             self.sampled_tlb_misses += 1;
             self.sampled_latency += self.tlb_miss_penalty_cycles;
         }
@@ -307,7 +318,51 @@ impl ModelExec {
             if !matches!(lvl, mb_mem::hierarchy::HitLevel::Cache(1)) {
                 self.sampled_l2_misses += 1;
             }
+            return false;
         }
+        tlb_hit
+    }
+
+    /// Whether no L1 line straddles a TLB page or a page-table page, so
+    /// that two addresses on one virtual line share a TLB entry and a
+    /// physical line.
+    fn lines_within_pages(&self) -> bool {
+        let line = self.l1_line_bytes as usize;
+        self.tlb.config().page_bytes >= line
+            && self
+                .page_table
+                .as_ref()
+                .is_none_or(|t| t.page_bytes() >= line)
+    }
+
+    /// How many iterations from `i` on may be accounted as bulk hits:
+    /// all but the last of the (at most `cap`) iterations that keep
+    /// every stream on the L1 line it touched in iteration `i - 1`.
+    fn bulk_iterations(&self, streams: &[Stream], i: u64, cap: u64) -> u64 {
+        let mask = self.l1_line_bytes - 1;
+        let mut reps = cap;
+        for s in streams.iter().filter(|s| s.stride != 0) {
+            let prev = s.addr(i - 1) & mask;
+            let room = if s.stride > 0 { mask - prev } else { prev };
+            let step = s.stride.unsigned_abs();
+            // Fewer than two iterations stay: nothing to bulk.
+            if room / 2 < step {
+                return 0;
+            }
+            reps = reps.min(room / step);
+        }
+        reps.saturating_sub(1)
+    }
+
+    /// Accounts `accesses` sampled L1 and TLB hits, `loads` of them
+    /// loads, exactly as simulating them would (see
+    /// [`ModelExec::access_run`]'s exactness conditions).
+    fn repeat_hits(&mut self, accesses: u64, loads: u64) {
+        self.access_index += accesses;
+        self.sampled_accesses += accesses;
+        self.sampled_latency += loads * self.l1_latency;
+        self.tlb.repeat_hits(accesses);
+        self.hierarchy.repeat_l1_hits(accesses);
     }
 
     /// Scale factor from sampled events to estimated totals.
@@ -489,6 +544,86 @@ impl Exec for ModelExec {
         self.counts.branches += n;
         if !predictable {
             self.counts.unpredictable_branches += n;
+        }
+    }
+
+    /// Costs the run exactly as its per-element expansion, with two
+    /// shortcuts that leave every counter, LRU stamp, MRU way, PLRU bit
+    /// and TLB hint where the expansion leaves them:
+    ///
+    /// * elements in skipped sampling windows only advance the access
+    ///   index, so a skipped span costs O(1);
+    /// * inside a simulated window, once an iteration has hit L1 and the
+    ///   TLB on all `k` streams (for `k = 1`, once it was simulated at
+    ///   all), the following iterations that keep every stream on the
+    ///   line it just touched must hit too, as hits evict nothing. All
+    ///   but the last of them are accounted as bulk hits; the last is
+    ///   simulated, re-touching every line and page the skipped ones
+    ///   touched, in the same order. This needs lines no larger than
+    ///   TLB and page-table pages, and is off otherwise.
+    fn access_run(&mut self, streams: &[Stream], n: u64) {
+        #[cfg(feature = "validate")]
+        for s in streams {
+            assert!(
+                (1..=4096).contains(&s.bytes),
+                "access_run({:#x}): {} B outside 1..=4096",
+                s.base,
+                s.bytes
+            );
+        }
+        let k = streams.len() as u64;
+        if k == 0 || n == 0 {
+            return;
+        }
+        self.counts.add_run(streams, n);
+        self.wide_accesses += n * streams.iter().filter(|s| s.bytes >= 16).count() as u64;
+        let loads = streams.iter().filter(|s| !s.store).count() as u64;
+        // A stream striding a whole line or more never stays on one.
+        let bulk = self.lines_within_pages()
+            && streams
+                .iter()
+                .all(|s| s.stride.unsigned_abs() < self.l1_line_bytes);
+        let rate = u64::from(self.sample_rate);
+        let total = n * k;
+        // Elements of this run reported so far, and how many simulated
+        // elements in a row, ending at `done`, qualify the next
+        // iteration for bulk accounting.
+        let (mut done, mut streak) = (0u64, 0u64);
+        while done < total {
+            let pos = self.access_index;
+            let window = pos / SAMPLE_WINDOW;
+            if rate > 1 && !window.is_multiple_of(rate) {
+                let next = (window / rate + 1) * rate * SAMPLE_WINDOW;
+                let skip = (next - pos).min(total - done);
+                self.access_index += skip;
+                done += skip;
+                streak = 0;
+                continue;
+            }
+            let end = if rate > 1 {
+                done + ((window + 1) * SAMPLE_WINDOW - pos).min(total - done)
+            } else {
+                total
+            };
+            let (mut i, mut j) = (done / k, (done % k) as usize);
+            while done < end {
+                if j == 0 && bulk && streak >= k {
+                    let m = self.bulk_iterations(streams, i, (end - done) / k);
+                    self.repeat_hits(m * k, m * loads);
+                    i += m;
+                    done += m * k;
+                }
+                let s = &streams[j];
+                self.access_index += 1;
+                let clean = self.simulate(s.addr(i), s.store);
+                streak = if clean || k == 1 { streak + 1 } else { 0 };
+                done += 1;
+                j += 1;
+                if j == streams.len() {
+                    j = 0;
+                    i += 1;
+                }
+            }
         }
     }
 }

@@ -60,6 +60,59 @@ impl Precision {
     }
 }
 
+/// One strided memory stream of an access run: element `i` touches
+/// `bytes` bytes at `base + i·stride` (wrapping), as a store when
+/// `store` is set and as a load otherwise.
+///
+/// # Examples
+///
+/// ```
+/// use mb_cpu::ops::Stream;
+/// let s = Stream::load(0x100, 8, 8);
+/// assert_eq!(s.addr(3), 0x118);
+/// assert_eq!(Stream::store(0x100, -8, 8).addr(2), 0xF0);
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Stream {
+    /// Address of element 0.
+    pub base: u64,
+    /// Byte distance between consecutive elements (may be zero or
+    /// negative).
+    pub stride: i64,
+    /// Access width in bytes.
+    pub bytes: u32,
+    /// Whether the stream stores rather than loads.
+    pub store: bool,
+}
+
+impl Stream {
+    /// A load stream.
+    pub fn load(base: u64, stride: i64, bytes: u32) -> Stream {
+        Stream {
+            base,
+            stride,
+            bytes,
+            store: false,
+        }
+    }
+
+    /// A store stream.
+    pub fn store(base: u64, stride: i64, bytes: u32) -> Stream {
+        Stream {
+            base,
+            stride,
+            bytes,
+            store: true,
+        }
+    }
+
+    /// Address of element `i`.
+    #[inline]
+    pub fn addr(&self, i: u64) -> u64 {
+        self.base.wrapping_add(i.wrapping_mul(self.stride as u64))
+    }
+}
+
 /// The sink kernels report their operations to.
 ///
 /// `lanes` on [`Exec::flop`] expresses *intended* SIMD width: a kernel
@@ -100,6 +153,29 @@ pub trait Exec {
             self.branch(predictable);
         }
     }
+
+    /// Reports the memory traffic of `n` iterations of a loop whose body
+    /// touches every stream once, in slice order.
+    ///
+    /// The contract is per-element equivalence: the call must leave the
+    /// sink exactly as this default body does, which issues
+    /// `load`/`store(s.addr(i), s.bytes)` for `i` in `0..n` and, inside
+    /// each `i`, for every `s` in `streams`. Sinks may override it with a
+    /// closed form or a fast path only if the result is bit-identical.
+    /// Kernels report the loop's flops, integer ops and branches with
+    /// separate calls; costing sinks keep those apart from memory, so
+    /// only the order of the memory accesses among themselves matters.
+    fn access_run(&mut self, streams: &[Stream], n: u64) {
+        for i in 0..n {
+            for s in streams {
+                if s.store {
+                    self.store(s.addr(i), s.bytes);
+                } else {
+                    self.load(s.addr(i), s.bytes);
+                }
+            }
+        }
+    }
 }
 
 /// A sink that ignores everything — kernels run at native speed.
@@ -130,6 +206,8 @@ impl Exec for NullExec {
     fn flop_run(&mut self, _kind: FlopKind, _prec: Precision, _lanes: u32, _n: u64) {}
     #[inline(always)]
     fn branch_run(&mut self, _n: u64, _predictable: bool) {}
+    #[inline(always)]
+    fn access_run(&mut self, _streams: &[Stream], _n: u64) {}
 }
 
 /// Aggregated operation counts — a workload characterisation.
@@ -182,6 +260,21 @@ impl OpCounts {
             0.0
         } else {
             self.total_flops() as f64 / b as f64
+        }
+    }
+
+    /// Adds the loads and stores of an access run (see
+    /// [`Exec::access_run`]) in closed form.
+    pub fn add_run(&mut self, streams: &[Stream], n: u64) {
+        for s in streams {
+            let bytes = u64::from(s.bytes) * n;
+            if s.store {
+                self.stores += n;
+                self.store_bytes += bytes;
+            } else {
+                self.loads += n;
+                self.load_bytes += bytes;
+            }
         }
     }
 
@@ -276,6 +369,10 @@ impl Exec for CountingExec {
             self.counts.unpredictable_branches += n;
         }
     }
+
+    fn access_run(&mut self, streams: &[Stream], n: u64) {
+        self.counts.add_run(streams, n);
+    }
 }
 
 /// Forwards every report to two sinks — e.g. counting *and* modelling in
@@ -323,6 +420,10 @@ impl<A: Exec, B: Exec> Exec for TeeExec<'_, A, B> {
     fn branch_run(&mut self, n: u64, predictable: bool) {
         self.a.branch_run(n, predictable);
         self.b.branch_run(n, predictable);
+    }
+    fn access_run(&mut self, streams: &[Stream], n: u64) {
+        self.a.access_run(streams, n);
+        self.b.access_run(streams, n);
     }
 }
 

@@ -7,10 +7,11 @@
 //! * **Region containment** — every load/store falls inside a declared
 //!   address region (the membench array, its spill slots, …). An access
 //!   outside is the simulation analogue of a wild pointer.
-//! * **Batch/per-op consistency** — `flop_run`/`branch_run` totals must
-//!   equal the sum of the equivalent per-op calls. The wrapper tallies
-//!   both forms independently (expanding a bounded prefix of each batch
-//!   op by op) and cross-checks after every batch call.
+//! * **Batch/per-op consistency** — `flop_run`/`branch_run`/`access_run`
+//!   totals must equal the sum of the equivalent per-op calls. The
+//!   wrapper tallies both forms independently (expanding a bounded
+//!   prefix of each batch op by op) and cross-checks after every batch
+//!   call.
 //! * **Operand sanity** — zero-byte accesses, zero-lane flops and other
 //!   degenerate operands are flagged at the first offending call.
 //!
@@ -24,7 +25,7 @@
 //! the acceptance gate exercised by `crates/core/tests/validate_smoke.rs`.
 
 use crate::exec_model::{ExecReport, ModelExec};
-use crate::ops::{CountingExec, Exec, FlopKind, OpCounts, Precision};
+use crate::ops::{CountingExec, Exec, FlopKind, OpCounts, Precision, Stream};
 
 /// How many ops of each batch call are replayed one by one for the
 /// batch/per-op cross-check; the remainder is added in closed form.
@@ -42,8 +43,8 @@ pub struct Region {
 }
 
 impl Region {
-    fn contains(&self, addr: u64, bytes: u32) -> bool {
-        addr >= self.base && addr + bytes as u64 <= self.base + self.bytes
+    fn contains(&self, start: u64, end: u64) -> bool {
+        start >= self.base && end <= self.base + self.bytes
     }
 }
 
@@ -134,23 +135,25 @@ impl<E: Exec> ValidatingExec<E> {
         self.violations.push(message);
     }
 
-    fn check_region(&mut self, what: &str, addr: u64, bytes: u32) {
+    /// Checks that `[start, end)` — one access of `bytes` B, or the
+    /// extent of a stream of such accesses — lies in one declared region.
+    fn check_region(&mut self, what: &str, start: u64, end: u64, bytes: u32) {
         if bytes == 0 {
-            self.violate(format!("{what} of zero bytes at {addr:#x}"));
+            self.violate(format!("{what} of zero bytes at {start:#x}"));
             return;
         }
         if self.regions.is_empty() {
             return;
         }
-        if !self.regions.iter().any(|r| r.contains(addr, bytes)) {
+        if !self.regions.iter().any(|r| r.contains(start, end)) {
             let declared: Vec<String> = self
                 .regions
                 .iter()
                 .map(|r| format!("{} [{:#x}, {:#x})", r.name, r.base, r.base + r.bytes))
                 .collect();
             self.violate(format!(
-                "{what} of {bytes} B at {addr:#x} outside every declared \
-                 region: {}",
+                "{what} of {bytes} B spanning [{start:#x}, {end:#x}) outside \
+                 every declared region: {}",
                 declared.join(", ")
             ));
         }
@@ -188,14 +191,14 @@ impl<E: Exec> Exec for ValidatingExec<E> {
     }
 
     fn load(&mut self, addr: u64, bytes: u32) {
-        self.check_region("load", addr, bytes);
+        self.check_region("load", addr, addr + u64::from(bytes), bytes);
         self.closed.load(addr, bytes);
         self.replayed.load(addr, bytes);
         self.inner.load(addr, bytes);
     }
 
     fn store(&mut self, addr: u64, bytes: u32) {
-        self.check_region("store", addr, bytes);
+        self.check_region("store", addr, addr + u64::from(bytes), bytes);
         self.closed.store(addr, bytes);
         self.replayed.store(addr, bytes);
         self.inner.store(addr, bytes);
@@ -234,6 +237,41 @@ impl<E: Exec> Exec for ValidatingExec<E> {
         }
         self.check_batch("branch_run");
         self.inner.branch_run(n, predictable);
+    }
+
+    /// Validates every stream's extent and cross-checks the batch
+    /// against its per-op expansion (replaying at most `EXPAND_CAP`
+    /// iterations), then forwards the run to the inner sink as one call.
+    fn access_run(&mut self, streams: &[Stream], n: u64) {
+        if n > 0 {
+            // A stream's elements all lie between its first and last.
+            for s in streams {
+                let what = if s.store {
+                    "access_run store"
+                } else {
+                    "access_run load"
+                };
+                let (first, last) = (s.addr(0), s.addr(n - 1));
+                let end = first.max(last) + u64::from(s.bytes);
+                self.check_region(what, first.min(last), end, s.bytes);
+            }
+        }
+        self.closed.access_run(streams, n);
+        let replay = n.min(EXPAND_CAP);
+        for i in 0..replay {
+            for s in streams {
+                if s.store {
+                    self.replayed.store(s.addr(i), s.bytes);
+                } else {
+                    self.replayed.load(s.addr(i), s.bytes);
+                }
+            }
+        }
+        if n > replay {
+            self.replayed.access_run(streams, n - replay);
+        }
+        self.check_batch("access_run");
+        self.inner.access_run(streams, n);
     }
 }
 
@@ -344,6 +382,42 @@ mod tests {
         assert_eq!(c.branches, EXPAND_CAP + 7);
         assert_eq!(c.unpredictable_branches, EXPAND_CAP + 7);
         assert_eq!(v.inner().counts(), v.shadow_counts());
+    }
+
+    #[test]
+    fn access_run_checks_stream_extents_and_forwards_verbatim() {
+        let mut v = ValidatingExec::new(CountingExec::new());
+        v.declare_region("array", 0x1000, 4096);
+        let n = EXPAND_CAP + 10;
+        // Both runs fit; the second ends exactly at the region's end.
+        v.access_run(
+            &[Stream::load(0x1000, 0, 8), Stream::store(0x1ffc, -1, 4)],
+            4000,
+        );
+        v.access_run(&[Stream::load(0x1000, 1, 1)], 4096);
+        v.assert_clean();
+        // Runs past the end, and from below the base with a negative
+        // stride.
+        v.access_run(&[Stream::load(0x1000, 1, 1)], n);
+        v.access_run(&[Stream::store(0x1010, -8, 8)], 4);
+        assert_eq!(v.violations().len(), 2, "{:?}", v.violations());
+        assert!(v.violations()[0].contains("outside every declared region"));
+        assert_eq!(v.inner().counts(), v.shadow_counts());
+        assert_eq!(v.inner().counts().loads, 4000 + 4096 + n);
+        assert_eq!(v.inner().counts().stores, 4000 + 4);
+    }
+
+    #[test]
+    fn access_run_reaches_model_exec_unchanged() {
+        let streams = [Stream::load(0, 4, 4), Stream::store(1 << 16, 8, 8)];
+        let mut bare = ModelExec::snowball();
+        bare.access_run(&streams, 20_000);
+        let mut v = ValidatingExec::new(ModelExec::snowball());
+        v.declare_region("buffer", 0, 1 << 20);
+        v.access_run(&streams, 20_000);
+        let report = v.finish();
+        v.assert_clean();
+        assert_eq!(report, bare.finish());
     }
 
     #[test]

@@ -29,3 +29,6 @@ pub mod magicfilter;
 pub mod membench;
 pub mod protein;
 pub mod specfem;
+
+#[cfg(test)]
+mod access_run_identity;

@@ -10,8 +10,33 @@
 //! get (NEON is single precision only), which is the root of Table II's
 //! 38.7× LINPACK gap.
 
-use mb_cpu::ops::{Exec, FlopKind, Precision};
+use mb_cpu::ops::{Exec, FlopKind, Precision, Stream};
 use mb_simcore::rng::{Rng, Xoshiro256};
+
+/// Forward elimination with the stored multipliers, then back
+/// substitution (`dgesl`), on the factorised row-major `a` of order `n`.
+/// Each column sweep is one stride-`n` access run.
+pub(crate) fn substitute<E: Exec>(a: &[f64], n: usize, x: &mut [f64], exec: &mut E) {
+    let column = |first_row: usize, k: usize| {
+        Stream::load(((first_row * n + k) * 8) as u64, (n * 8) as i64, 8)
+    };
+    for k in 0..n {
+        exec.access_run(&[column(k + 1, k)], (n - k - 1) as u64);
+        for i in (k + 1)..n {
+            exec.flop(FlopKind::Fma, Precision::F64, 1);
+            x[i] -= a[i * n + k] * x[k];
+        }
+    }
+    for k in (0..n).rev() {
+        exec.flop(FlopKind::Div, Precision::F64, 1);
+        x[k] /= a[k * n + k];
+        exec.access_run(&[column(0, k)], k as u64);
+        for i in 0..k {
+            exec.flop(FlopKind::Fma, Precision::F64, 1);
+            x[i] -= a[i * n + k] * x[k];
+        }
+    }
+}
 
 /// A LINPACK problem instance: `A·x = b` with a dense random matrix.
 #[derive(Debug, Clone)]
@@ -77,25 +102,30 @@ impl Linpack {
         let base = 0u64; // virtual base address of the matrix for the model
         for k in 0..n {
             // Pivot search in column k.
+            let below = (n - k - 1) as u64;
+            let column = Stream::load(base + (((k + 1) * n + k) * 8) as u64, (n * 8) as i64, 8);
+            exec.access_run(&[column], below);
             let mut p = k;
             let mut max = self.a[k * n + k].abs();
             for i in (k + 1)..n {
-                exec.load(base + ((i * n + k) * 8) as u64, 8);
                 exec.flop(FlopKind::Cmp, Precision::F64, 1);
-                exec.branch(false);
                 let v = self.a[i * n + k].abs();
                 if v > max {
                     max = v;
                     p = i;
                 }
             }
+            exec.branch_run(below, false);
             assert!(max != 0.0, "singular matrix");
             self.pivots[k] = p;
             if p != k {
+                let rows = [
+                    Stream::load(base + (k * n * 8) as u64, 8, 8),
+                    Stream::store(base + (p * n * 8) as u64, 8, 8),
+                ];
+                exec.access_run(&rows, n as u64);
                 for j in 0..n {
                     self.a.swap(k * n + j, p * n + j);
-                    exec.load(base + ((k * n + j) * 8) as u64, 8);
-                    exec.store(base + ((p * n + j) * 8) as u64, 8);
                 }
                 self.b.swap(k, p);
             }
@@ -107,12 +137,19 @@ impl Linpack {
                 self.a[i * n + k] = m;
                 // daxpy over the trailing row: report as 2-lane FMAs
                 // (SSE2-style vectorisation over consecutive columns).
+                let (pivot_row, row) = (
+                    base + ((k * n + k + 1) * 8) as u64,
+                    base + ((i * n + k + 1) * 8) as u64,
+                );
+                let pairs = [
+                    Stream::load(pivot_row, 16, 16),
+                    Stream::load(row, 16, 16),
+                    Stream::store(row, 16, 16),
+                ];
+                exec.access_run(&pairs, ((n - k - 1) / 2) as u64);
                 let mut j = k + 1;
                 while j + 1 < n {
-                    exec.load(base + ((k * n + j) * 8) as u64, 16);
-                    exec.load(base + ((i * n + j) * 8) as u64, 16);
                     exec.flop(FlopKind::Fma, Precision::F64, 2);
-                    exec.store(base + ((i * n + j) * 8) as u64, 16);
                     self.a[i * n + j] -= m * self.a[k * n + j];
                     self.a[i * n + j + 1] -= m * self.a[k * n + j + 1];
                     j += 2;
@@ -140,24 +177,7 @@ impl Linpack {
         assert!(self.factorized, "factorize before solving");
         let n = self.n;
         let mut x = self.b.clone();
-        // Forward elimination with the stored multipliers.
-        for k in 0..n {
-            for i in (k + 1)..n {
-                exec.load(((i * n + k) * 8) as u64, 8);
-                exec.flop(FlopKind::Fma, Precision::F64, 1);
-                x[i] -= self.a[i * n + k] * x[k];
-            }
-        }
-        // Back substitution.
-        for k in (0..n).rev() {
-            exec.flop(FlopKind::Div, Precision::F64, 1);
-            x[k] /= self.a[k * n + k];
-            for i in 0..k {
-                exec.load(((i * n + k) * 8) as u64, 8);
-                exec.flop(FlopKind::Fma, Precision::F64, 1);
-                x[i] -= self.a[i * n + k] * x[k];
-            }
-        }
+        substitute(&self.a, n, &mut x, exec);
         x
     }
 
@@ -187,6 +207,88 @@ impl Linpack {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::access_run_identity::{assert_same_stream, solve_reference, Recorder};
+
+    impl Linpack {
+        fn factorize_reference<E: Exec>(&mut self, exec: &mut E) {
+            let n = self.n;
+            let base = 0u64; // virtual base address of the matrix for the model
+            for k in 0..n {
+                // Pivot search in column k.
+                let mut p = k;
+                let mut max = self.a[k * n + k].abs();
+                for i in (k + 1)..n {
+                    exec.load(base + ((i * n + k) * 8) as u64, 8);
+                    exec.flop(FlopKind::Cmp, Precision::F64, 1);
+                    exec.branch(false);
+                    let v = self.a[i * n + k].abs();
+                    if v > max {
+                        max = v;
+                        p = i;
+                    }
+                }
+                assert!(max != 0.0, "singular matrix");
+                self.pivots[k] = p;
+                if p != k {
+                    for j in 0..n {
+                        self.a.swap(k * n + j, p * n + j);
+                        exec.load(base + ((k * n + j) * 8) as u64, 8);
+                        exec.store(base + ((p * n + j) * 8) as u64, 8);
+                    }
+                    self.b.swap(k, p);
+                }
+                // Scale the pivot column and update the trailing matrix.
+                let pivot = self.a[k * n + k];
+                for i in (k + 1)..n {
+                    exec.flop(FlopKind::Div, Precision::F64, 1);
+                    let m = self.a[i * n + k] / pivot;
+                    self.a[i * n + k] = m;
+                    // daxpy over the trailing row: report as 2-lane FMAs
+                    // (SSE2-style vectorisation over consecutive columns).
+                    let mut j = k + 1;
+                    while j + 1 < n {
+                        exec.load(base + ((k * n + j) * 8) as u64, 16);
+                        exec.load(base + ((i * n + j) * 8) as u64, 16);
+                        exec.flop(FlopKind::Fma, Precision::F64, 2);
+                        exec.store(base + ((i * n + j) * 8) as u64, 16);
+                        self.a[i * n + j] -= m * self.a[k * n + j];
+                        self.a[i * n + j + 1] -= m * self.a[k * n + j + 1];
+                        j += 2;
+                    }
+                    if j < n {
+                        exec.load(base + ((k * n + j) * 8) as u64, 8);
+                        exec.load(base + ((i * n + j) * 8) as u64, 8);
+                        exec.flop(FlopKind::Fma, Precision::F64, 1);
+                        exec.store(base + ((i * n + j) * 8) as u64, 8);
+                        self.a[i * n + j] -= m * self.a[k * n + j];
+                    }
+                    exec.branch(true);
+                }
+                exec.branch(true);
+            }
+            self.factorized = true;
+        }
+    }
+
+    #[test]
+    fn linpack_matches_per_element_loops() {
+        for n in [7, 9] {
+            let (mut ported, mut reference) = (Linpack::new(n, 0x5EED), Linpack::new(n, 0x5EED));
+            let (mut got, mut want) = (Recorder::default(), Recorder::default());
+            ported.factorize(&mut got);
+            reference.factorize_reference(&mut want);
+            assert!(
+                reference.pivots.iter().enumerate().any(|(k, &p)| p != k),
+                "n = {n}: no row swap exercised"
+            );
+            let x = ported.solve(&mut got);
+            let x_ref = solve_reference(&reference.a, n, reference.b.clone(), &mut want);
+            assert_same_stream(&got, &want, &format!("linpack n = {n}"));
+            assert_eq!(ported.a, reference.a);
+            assert_eq!(x, x_ref);
+        }
+    }
+
     use mb_cpu::ops::{CountingExec, NullExec};
 
     #[test]

@@ -11,8 +11,8 @@
 //! flops, but far fewer memory misses — the difference between LINPACK
 //! and HPL efficiency on both machines.
 
-use crate::linpack::Linpack;
-use mb_cpu::ops::{Exec, FlopKind, Precision};
+use crate::linpack::{substitute, Linpack};
+use mb_cpu::ops::{Exec, FlopKind, Precision, Stream};
 use mb_simcore::rng::{Rng, Xoshiro256};
 
 /// A blocked LU instance.
@@ -79,25 +79,36 @@ impl BlockedLu {
             let kb = self.nb.min(n - k0);
             // --- Panel factorisation (columns k0..k0+kb), unblocked ---
             for k in k0..k0 + kb {
+                let below = (n - k - 1) as u64;
+                exec.access_run(
+                    &[Stream::load(
+                        (((k + 1) * n + k) * 8) as u64,
+                        (n * 8) as i64,
+                        8,
+                    )],
+                    below,
+                );
                 let mut p = k;
                 let mut max = self.a[k * n + k].abs();
                 for i in (k + 1)..n {
-                    exec.load(((i * n + k) * 8) as u64, 8);
                     exec.flop(FlopKind::Cmp, Precision::F64, 1);
-                    exec.branch(false);
                     let v = self.a[i * n + k].abs();
                     if v > max {
                         max = v;
                         p = i;
                     }
                 }
+                exec.branch_run(below, false);
                 assert!(max != 0.0, "singular matrix");
                 self.pivots[k] = p;
                 if p != k {
+                    let rows = [
+                        Stream::load((k * n * 8) as u64, 8, 8),
+                        Stream::store((p * n * 8) as u64, 8, 8),
+                    ];
+                    exec.access_run(&rows, n as u64);
                     for j in 0..n {
                         self.a.swap(k * n + j, p * n + j);
-                        exec.load(((k * n + j) * 8) as u64, 8);
-                        exec.store(((p * n + j) * 8) as u64, 8);
                     }
                     self.x_rhs.swap(k, p);
                 }
@@ -108,10 +119,13 @@ impl BlockedLu {
                     self.a[i * n + k] = m;
                     // Update only the remaining panel columns here; the
                     // trailing matrix waits for the blocked GEMM.
+                    let panel = [
+                        Stream::load(((k * n + k + 1) * 8) as u64, 8, 8),
+                        Stream::store(((i * n + k + 1) * 8) as u64, 8, 8),
+                    ];
+                    exec.access_run(&panel, (k0 + kb - k - 1) as u64);
                     for j in (k + 1)..(k0 + kb) {
-                        exec.load(((k * n + j) * 8) as u64, 8);
                         exec.flop(FlopKind::Fma, Precision::F64, 1);
-                        exec.store(((i * n + j) * 8) as u64, 8);
                         self.a[i * n + j] -= m * self.a[k * n + j];
                     }
                     exec.branch(true);
@@ -126,10 +140,13 @@ impl BlockedLu {
                 for i in (k + 1)..rest {
                     let m = self.a[i * n + k];
                     exec.load(((i * n + k) * 8) as u64, 8);
+                    let rows = [
+                        Stream::load(((k * n + rest) * 8) as u64, 8, 8),
+                        Stream::store(((i * n + rest) * 8) as u64, 8, 8),
+                    ];
+                    exec.access_run(&rows, (n - rest) as u64);
                     for j in rest..n {
-                        exec.load(((k * n + j) * 8) as u64, 8);
                         exec.flop(FlopKind::Fma, Precision::F64, 1);
-                        exec.store(((i * n + j) * 8) as u64, 8);
                         self.a[i * n + j] -= m * self.a[k * n + j];
                     }
                     exec.branch(true);
@@ -153,12 +170,16 @@ impl BlockedLu {
                             exec.load(((i * n + k) * 8) as u64, 8);
                             // 2-lane FMA over the contiguous j row, as
                             // the vectorised GEMM microkernel does.
+                            let row = ((i * n + jj) * 8) as u64;
+                            let pairs = [
+                                Stream::load(((k * n + jj) * 8) as u64, 16, 16),
+                                Stream::load(row, 16, 16),
+                                Stream::store(row, 16, 16),
+                            ];
+                            exec.access_run(&pairs, ((jmax - jj) / 2) as u64);
                             let mut j = jj;
                             while j + 1 < jmax {
-                                exec.load(((k * n + j) * 8) as u64, 16);
-                                exec.load(((i * n + j) * 8) as u64, 16);
                                 exec.flop(FlopKind::Fma, Precision::F64, 2);
-                                exec.store(((i * n + j) * 8) as u64, 16);
                                 self.a[i * n + j] -= m * self.a[k * n + j];
                                 self.a[i * n + j + 1] -= m * self.a[k * n + j + 1];
                                 j += 2;
@@ -191,22 +212,7 @@ impl BlockedLu {
         assert!(self.factorized, "factorize before solving");
         let n = self.n;
         let mut x = self.x_rhs.clone();
-        for k in 0..n {
-            for i in (k + 1)..n {
-                exec.load(((i * n + k) * 8) as u64, 8);
-                exec.flop(FlopKind::Fma, Precision::F64, 1);
-                x[i] -= self.a[i * n + k] * x[k];
-            }
-        }
-        for k in (0..n).rev() {
-            exec.flop(FlopKind::Div, Precision::F64, 1);
-            x[k] /= self.a[k * n + k];
-            for i in 0..k {
-                exec.load(((i * n + k) * 8) as u64, 8);
-                exec.flop(FlopKind::Fma, Precision::F64, 1);
-                x[i] -= self.a[i * n + k] * x[k];
-            }
-        }
+        substitute(&self.a, n, &mut x, exec);
         x
     }
 
@@ -256,6 +262,134 @@ pub fn blocking_ablation(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::access_run_identity::{assert_same_stream, solve_reference, Recorder};
+
+    impl BlockedLu {
+        fn factorize_reference<E: Exec>(&mut self, exec: &mut E) {
+            let n = self.n;
+            let mut k0 = 0;
+            while k0 < n {
+                let kb = self.nb.min(n - k0);
+                // --- Panel factorisation (columns k0..k0+kb), unblocked ---
+                for k in k0..k0 + kb {
+                    let mut p = k;
+                    let mut max = self.a[k * n + k].abs();
+                    for i in (k + 1)..n {
+                        exec.load(((i * n + k) * 8) as u64, 8);
+                        exec.flop(FlopKind::Cmp, Precision::F64, 1);
+                        exec.branch(false);
+                        let v = self.a[i * n + k].abs();
+                        if v > max {
+                            max = v;
+                            p = i;
+                        }
+                    }
+                    assert!(max != 0.0, "singular matrix");
+                    self.pivots[k] = p;
+                    if p != k {
+                        for j in 0..n {
+                            self.a.swap(k * n + j, p * n + j);
+                            exec.load(((k * n + j) * 8) as u64, 8);
+                            exec.store(((p * n + j) * 8) as u64, 8);
+                        }
+                        self.x_rhs.swap(k, p);
+                    }
+                    let pivot = self.a[k * n + k];
+                    for i in (k + 1)..n {
+                        exec.flop(FlopKind::Div, Precision::F64, 1);
+                        let m = self.a[i * n + k] / pivot;
+                        self.a[i * n + k] = m;
+                        // Update only the remaining panel columns here; the
+                        // trailing matrix waits for the blocked GEMM.
+                        for j in (k + 1)..(k0 + kb) {
+                            exec.load(((k * n + j) * 8) as u64, 8);
+                            exec.flop(FlopKind::Fma, Precision::F64, 1);
+                            exec.store(((i * n + j) * 8) as u64, 8);
+                            self.a[i * n + j] -= m * self.a[k * n + j];
+                        }
+                        exec.branch(true);
+                    }
+                }
+                let rest = k0 + kb;
+                if rest >= n {
+                    break;
+                }
+                // --- Row panel: U12 = L11^{-1} A12 (unit lower triangular) ---
+                for k in k0..rest {
+                    for i in (k + 1)..rest {
+                        let m = self.a[i * n + k];
+                        exec.load(((i * n + k) * 8) as u64, 8);
+                        for j in rest..n {
+                            exec.load(((k * n + j) * 8) as u64, 8);
+                            exec.flop(FlopKind::Fma, Precision::F64, 1);
+                            exec.store(((i * n + j) * 8) as u64, 8);
+                            self.a[i * n + j] -= m * self.a[k * n + j];
+                        }
+                        exec.branch(true);
+                    }
+                }
+                // --- Trailing update: A22 -= L21 · U12, tiled GEMM ---
+                const TILE: usize = 32;
+                let mut ii = rest;
+                while ii < n {
+                    let imax = (ii + TILE).min(n);
+                    let mut jj = rest;
+                    while jj < n {
+                        let jmax = (jj + TILE).min(n);
+                        for k in k0..rest {
+                            for i in ii..imax {
+                                let m = self.a[i * n + k];
+                                exec.load(((i * n + k) * 8) as u64, 8);
+                                let mut j = jj;
+                                while j + 1 < jmax {
+                                    exec.load(((k * n + j) * 8) as u64, 16);
+                                    exec.load(((i * n + j) * 8) as u64, 16);
+                                    exec.flop(FlopKind::Fma, Precision::F64, 2);
+                                    exec.store(((i * n + j) * 8) as u64, 16);
+                                    self.a[i * n + j] -= m * self.a[k * n + j];
+                                    self.a[i * n + j + 1] -= m * self.a[k * n + j + 1];
+                                    j += 2;
+                                }
+                                if j < jmax {
+                                    exec.load(((k * n + j) * 8) as u64, 8);
+                                    exec.load(((i * n + j) * 8) as u64, 8);
+                                    exec.flop(FlopKind::Fma, Precision::F64, 1);
+                                    exec.store(((i * n + j) * 8) as u64, 8);
+                                    self.a[i * n + j] -= m * self.a[k * n + j];
+                                }
+                                exec.branch(true);
+                            }
+                        }
+                        jj = jmax;
+                    }
+                    ii = imax;
+                }
+                k0 = rest;
+            }
+            self.factorized = true;
+        }
+    }
+
+    #[test]
+    fn blocked_lu_matches_per_element_loops() {
+        for (n, nb) in [(7, 3), (9, 4), (9, 9)] {
+            let (mut ported, mut reference) =
+                (BlockedLu::new(n, nb, 0x5EED), BlockedLu::new(n, nb, 0x5EED));
+            let (mut got, mut want) = (Recorder::default(), Recorder::default());
+            ported.factorize(&mut got);
+            reference.factorize_reference(&mut want);
+            assert!(
+                reference.pivots.iter().enumerate().any(|(k, &p)| p != k),
+                "n = {n}: no row swap exercised"
+            );
+            let x = ported.solve(&mut got);
+            let x_ref = solve_reference(&reference.a, n, reference.x_rhs.clone(), &mut want);
+            assert_same_stream(&got, &want, &format!("blocked LU n = {n}, nb = {nb}"));
+            assert_eq!(ported.a, reference.a);
+            assert_eq!(x, x_ref);
+        }
+    }
+
     use mb_cpu::exec_model::ModelExec;
     use mb_cpu::ops::{CountingExec, NullExec};
 

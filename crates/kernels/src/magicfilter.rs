@@ -13,7 +13,7 @@
 //! cycle the axes back to the original orientation. The unroll degree of
 //! the `ndat` loop is the Figure 7 tuning parameter (1..=12).
 
-use mb_cpu::ops::{Exec, FlopKind, Precision};
+use mb_cpu::ops::{Exec, FlopKind, Precision, Stream};
 
 /// BigDFT's magic-filter coefficients for Daubechies-16 wavelets,
 /// indexed `l = -8..=7` (i.e. `MAGIC_FILTER[l + 8]`).
@@ -124,32 +124,33 @@ pub fn magicfilter_pass<E: Exec>(
     let u = unroll as usize;
     let in_base = 0u64;
     let out_base = (n * ndat * 8) as u64;
+    const TAPS: usize = (UPFIL - LOWFIL + 1) as usize;
+    let groups = ndat.div_ceil(u) as u64;
     for i in 0..n {
         // Precompute wrapped row indices for the 16 taps — a fixed
         // array, so the innermost row loop allocates nothing.
-        let mut rows = [0usize; (UPFIL - LOWFIL + 1) as usize];
+        let mut rows = [0usize; TAPS];
+        // The row's traffic, one access run over `jj`: the 16 tap loads
+        // walk their input rows, the transposed store walks column `i`.
+        let mut streams = [Stream::store(out_base + (i * 8) as u64, (n * 8) as i64, 8); TAPS + 1];
         for (t, l) in (LOWFIL..=UPFIL).enumerate() {
             rows[t] = ((i as i64 + l).rem_euclid(n as i64)) as usize;
+            streams[t] = Stream::load(in_base + (rows[t] * ndat * 8) as u64, 8, 8);
         }
-        let mut j = 0usize;
-        while j < ndat {
-            let jmax = (j + u).min(ndat);
-            // Unrolled body: `jmax - j` independent accumulators.
-            for jj in j..jmax {
-                let mut acc = 0.0f64;
-                for (t, &row) in rows.iter().enumerate() {
-                    exec.load(in_base + ((row * ndat + jj) * 8) as u64, 8);
-                    acc += MAGIC_FILTER[t] * input[row * ndat + jj];
-                }
-                // One batched report for the 16 uniform taps.
-                exec.flop_run(FlopKind::Fma, Precision::F64, 1, rows.len() as u64);
-                exec.store(out_base + ((jj * n + i) * 8) as u64, 8);
-                out[jj * n + i] = acc;
+        exec.access_run(&streams, ndat as u64);
+        // The unrolled groups of `u` independent accumulators compute
+        // the same sums in the same order as this flat loop.
+        for jj in 0..ndat {
+            let mut acc = 0.0f64;
+            for (t, &row) in rows.iter().enumerate() {
+                acc += MAGIC_FILTER[t] * input[row * ndat + jj];
             }
-            exec.int_ops(2); // loop bookkeeping per group
-            exec.branch(true);
-            j = jmax;
+            // One batched report for the 16 uniform taps.
+            exec.flop_run(FlopKind::Fma, Precision::F64, 1, TAPS as u64);
+            out[jj * n + i] = acc;
         }
+        exec.int_ops(2 * groups); // loop bookkeeping, 2 per group
+        exec.branch_run(groups, true);
     }
 }
 

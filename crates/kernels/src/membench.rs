@@ -14,7 +14,7 @@
 //! variant for the target".
 
 use mb_cpu::exec_model::{ExecReport, ModelExec};
-use mb_cpu::ops::Exec;
+use mb_cpu::ops::{Exec, Stream};
 use mb_simcore::time::SimTime;
 
 /// One microbenchmark variant.
@@ -101,6 +101,11 @@ impl MembenchResult {
 /// `exec`, and returns `(accesses, checksum)`. Architecture-neutral — no
 /// spill or MLP modelling here.
 ///
+/// Each unrolled group touches elements `i, i + stride, …` and the next
+/// group starts `unroll·stride` elements on, so a sweep is one
+/// stride-`stride` stream, reported as one access run; the per-group
+/// index arithmetic and loop branch are reported in one call each.
+///
 /// # Panics
 ///
 /// Panics if `data` is smaller than `cfg.array_bytes` or the
@@ -109,34 +114,56 @@ pub fn run<E: Exec>(cfg: &MembenchConfig, data: &[u8], exec: &mut E) -> (u64, u6
     cfg.validate();
     assert!(data.len() >= cfg.array_bytes, "buffer smaller than array");
     let n_elems = cfg.array_bytes / cfg.elem_bytes;
+    let per_sweep = n_elems.div_ceil(cfg.stride) as u64;
+    let groups = per_sweep.div_ceil(u64::from(cfg.unroll));
+    let sweep = [Stream::load(
+        0,
+        (cfg.stride * cfg.elem_bytes) as i64,
+        cfg.elem_bytes as u32,
+    )];
     let mut checksum = 0u64;
-    let mut accesses = 0u64;
     for _ in 0..cfg.sweeps {
-        let mut i = 0usize;
-        while i < n_elems {
-            // One unrolled iteration group.
-            let group = cfg.unroll as usize;
-            let mut grp = 0u64;
-            for u in 0..group {
-                let idx = i + u * cfg.stride;
-                if idx >= n_elems {
-                    break;
-                }
-                let off = idx * cfg.elem_bytes;
-                exec.load(off as u64, cfg.elem_bytes as u32);
-                // Really read the element (first byte stands in for the
-                // whole element in the checksum).
-                checksum = checksum.wrapping_add(data[off] as u64).rotate_left(1);
-                accesses += 1;
-                grp += 1;
+        exec.access_run(&sweep, per_sweep);
+        for off in (0..n_elems)
+            .step_by(cfg.stride)
+            .map(|idx| idx * cfg.elem_bytes)
+        {
+            // Really read the element (first byte stands in for the
+            // whole element in the checksum).
+            checksum = checksum.wrapping_add(data[off] as u64).rotate_left(1);
+        }
+        // Index arithmetic + accumulate, one op per element.
+        exec.int_ops(per_sweep);
+        exec.branch_run(groups, true);
+    }
+    (per_sweep * u64::from(cfg.sweeps), checksum)
+}
+
+/// Reports `rounds` rounds of register-spill traffic: in each round,
+/// spill `s` of `0..spills` stores then reloads `bytes` at stack slot
+/// `stack_base + (s % 16)·8` (a small, hot region).
+///
+/// Up to 16 spills go out as one access run of `2·spills` stride-0
+/// streams; more (no modelled variant spills that many) fall back to
+/// reporting access by access.
+pub fn spill_traffic<E: Exec>(exec: &mut E, stack_base: u64, spills: u64, bytes: u32, rounds: u64) {
+    const MAX_SPILLS: usize = 16;
+    let slot = |s: u64| stack_base + (s % 16) * 8;
+    if spills as usize <= MAX_SPILLS {
+        let mut streams = [Stream::load(0, 0, bytes); 2 * MAX_SPILLS];
+        for s in 0..spills {
+            streams[2 * s as usize] = Stream::store(slot(s), 0, bytes);
+            streams[2 * s as usize + 1] = Stream::load(slot(s), 0, bytes);
+        }
+        exec.access_run(&streams[..2 * spills as usize], rounds);
+    } else {
+        for _ in 0..rounds {
+            for s in 0..spills {
+                exec.store(slot(s), bytes);
+                exec.load(slot(s), bytes);
             }
-            // Index arithmetic + accumulate, batched for the group.
-            exec.int_ops(grp);
-            exec.branch(true);
-            i += group * cfg.stride;
         }
     }
-    (accesses, checksum)
 }
 
 /// Runs the variant "compiled for" the machine behind `exec`:
@@ -176,18 +203,17 @@ pub fn run_model(cfg: &MembenchConfig, data: &[u8], exec: &mut ModelExec) -> Mem
     }
     if spills > 0 {
         // Spill traffic: per iteration group, `spills` stores + reloads
-        // to the stack (a small, hot region).
+        // to the stack.
         let groups = accesses / cfg.unroll as u64;
         let stack_base = (cfg.array_bytes as u64 + 4096) & !4095;
-        for g in 0..groups {
-            for s in 0..spills as u64 {
-                let addr = stack_base + (s % 16) * 8;
-                exec.store(addr, cfg.elem_bytes as u32);
-                exec.load(addr, cfg.elem_bytes as u32);
-                exec.int_ops(2 * neon_overhead_per_access);
-                let _ = g;
-            }
-        }
+        spill_traffic(
+            exec,
+            stack_base,
+            u64::from(spills),
+            cfg.elem_bytes as u32,
+            groups,
+        );
+        exec.int_ops(groups * u64::from(spills) * 2 * neon_overhead_per_access);
     }
     let report = exec.finish();
     MembenchResult {

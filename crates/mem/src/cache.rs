@@ -228,9 +228,12 @@ impl Cache {
     }
 
     /// Resets contents and statistics.
+    ///
+    /// Tags and stamps are left as they are: lookups mask by the valid
+    /// word, and the LRU victim scan only runs on full sets, every way of
+    /// which was filled (and stamped) since the reset.
     pub fn reset(&mut self) {
         self.valid.fill(0);
-        self.stamps.fill(0);
         self.mru.fill(0);
         self.plru.fill(0);
         self.stats = CacheStats::default();
@@ -279,6 +282,20 @@ impl Cache {
             return AccessResult::Hit;
         }
         self.miss(set_idx, tag)
+    }
+
+    /// Accounts `n` accesses that hit lines already resident, without
+    /// touching them: the clock and the hit counters advance exactly as
+    /// `n` hitting [`Cache::access`] calls would advance them.
+    ///
+    /// Exact only when every line those `n` accesses would have hit is
+    /// accessed again, in the same order, right afterwards: the later
+    /// touches then overwrite every stamp, MRU way and pseudo-LRU bit
+    /// the skipped ones would have written.
+    pub fn repeat_hits(&mut self, n: u64) {
+        self.clock += n;
+        self.stats.accesses += n;
+        self.stats.hits += n;
     }
 
     /// The miss path of [`Cache::access`], kept out of line so the hit

@@ -194,6 +194,16 @@ impl Hierarchy {
         (HitLevel::Memory, self.memory_latency_cycles)
     }
 
+    /// Accounts `n` accesses that hit lines already resident in L1 (see
+    /// [`Cache::repeat_hits`], whose exactness condition applies): each
+    /// is charged the L1 latency, and no outer level is probed.
+    pub fn repeat_l1_hits(&mut self, n: u64) {
+        let (l1, latency) = &mut self.levels[0];
+        l1.repeat_hits(n);
+        self.accesses += n;
+        self.total_cycles += n * *latency;
+    }
+
     /// Statistics of cache level `i` (0 = L1).
     ///
     /// # Panics

@@ -131,6 +131,19 @@ impl Tlb {
         false
     }
 
+    /// Accounts `n` lookups that hit pages already resident, without
+    /// touching their entries: the clock and the hit counter advance
+    /// exactly as `n` hitting [`Tlb::access`] calls would advance them.
+    ///
+    /// Exact only when every page those `n` lookups would have hit is
+    /// looked up again, in the same order, right afterwards: the later
+    /// lookups then overwrite every stamp, MRU entry and hint the
+    /// skipped ones would have written.
+    pub fn repeat_hits(&mut self, n: u64) {
+        self.clock += n;
+        self.hits += n;
+    }
+
     fn remember(&mut self, slot: usize, entry: usize) {
         self.mru = entry;
         self.hint[slot] = entry;

@@ -306,3 +306,52 @@ proptest! {
         assert_matches_reference(cfg, &addrs, with_reset, 65536);
     }
 }
+
+/// `reset` leaves LRU stamps in place, which is exact only because a
+/// full set's stamps were all written since the reset. Fill a set,
+/// stamp its ways far into the future by revisiting them, reset, then
+/// refill the same set with other lines in another order and push it
+/// past full: every victim must still match the reference's.
+#[test]
+fn reset_full_set_then_refill_matches_nested_reference() {
+    for geo in 0..27 {
+        let cfg = if geo < 18 {
+            geometry(geo)
+        } else {
+            wide_geometry(geo - 18)
+        };
+        let ways = cfg.associativity as u64;
+        let sets = cfg.num_sets() as u64;
+        let line = |k: u64| k * sets * cfg.line_bytes as u64;
+        let mut real = Cache::new(cfg);
+        let mut oracle = RefCache::new(cfg);
+        let before: Vec<u64> = (0..ways)
+            .chain((0..ways).rev())
+            .chain(0..ways)
+            .map(line)
+            .collect();
+        let after: Vec<u64> = (ways..3 * ways + 1)
+            .rev()
+            .chain(ways..2 * ways)
+            .map(line)
+            .collect();
+        for &addr in &before {
+            assert_eq!(real.access(addr), oracle.access(addr), "{cfg:?}");
+        }
+        real.reset();
+        let fresh_rng = std::mem::replace(&mut oracle.rng, Xoshiro256::seed_from(0));
+        oracle = RefCache::new(cfg);
+        oracle.rng = fresh_rng;
+        for (i, &addr) in after.iter().enumerate() {
+            assert_eq!(
+                real.access(addr),
+                oracle.access(addr),
+                "refill #{i} under {cfg:?}"
+            );
+        }
+        for k in 0..3 * ways + 1 {
+            assert_eq!(real.contains(line(k)), oracle.contains(line(k)), "{cfg:?}");
+        }
+        assert_eq!(real.stats().evictions, oracle.evictions);
+    }
+}

@@ -35,6 +35,8 @@ echo "==> validate-feature smoke (runtime invariant sanitizer)"
 # the fault-injected Figure 3 run — with the sanitizer compiled in.
 # The normal-build pins run in the test suite above (figure_digests.rs).
 cargo test --release -p montblanc --features validate --test validate_smoke --quiet
+# `ValidatingExec` and its unit tests only compile under the feature.
+cargo test --release -p mb-cpu --features validate --quiet
 
 echo "==> fault-injection smoke (degraded-but-completed Figure 3)"
 cargo run --release -p mb-bench --bin fault_ablation -- --quick
