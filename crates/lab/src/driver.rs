@@ -25,6 +25,7 @@
 use crate::campaign::{digest, Campaign};
 use crate::journal::{Journal, JournalError, JournalHeader};
 use mb_simcore::error::MbError;
+use std::fmt;
 use std::path::Path;
 use std::sync::{Mutex, PoisonError};
 
@@ -54,6 +55,13 @@ impl Shard {
     /// Whether this shard owns `slot` under the modulo partition.
     pub fn owns(&self, slot: usize) -> bool {
         slot % self.count as usize == self.index as usize
+    }
+}
+
+/// Renders `i/N`, the form [`Shard::parse`] reads.
+impl fmt::Display for Shard {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{}/{}", self.index, self.count)
     }
 }
 
@@ -120,8 +128,7 @@ pub fn expected_header(campaign: &dyn Campaign, shard: Shard) -> JournalHeader {
         campaign: campaign.name().to_string(),
         seed: campaign.seed(),
         tasks: campaign.task_labels().len(),
-        shard_index: shard.index,
-        shard_count: shard.count,
+        shard,
     }
 }
 

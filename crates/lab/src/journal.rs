@@ -12,7 +12,8 @@
 //!
 //! * The **header** carries the format version (`mblab1`), the campaign
 //!   name, the experiment seed, the task count and this journal's shard
-//!   assignment. Any disagreement with what the driver expects — or an
+//!   assignment, as a line of the lab's one `key=value` grammar (the
+//!   crate-private `codec` module). Any disagreement with what the driver expects — or an
 //!   unknown version token — is a hard error, never a silent skip: a
 //!   journal from a different campaign must not leak results into this
 //!   one.
@@ -32,6 +33,8 @@
 //! expects, and [`Journal::load`] reports it via `torn_tail` so drivers
 //! can log the recovery.
 
+use crate::codec::{self, Fields, LineError};
+use crate::driver::Shard;
 use std::fmt;
 use std::fs;
 use std::io::{Seek, Write};
@@ -230,67 +233,75 @@ pub struct JournalHeader {
     pub seed: u64,
     /// Total slot count of the campaign (across all shards).
     pub tasks: usize,
-    /// This journal's shard index.
-    pub shard_index: u32,
-    /// Total shard count of the partition this journal belongs to.
-    pub shard_count: u32,
+    /// This journal's place in the partition of the campaign's slots.
+    pub shard: Shard,
 }
 
+/// The fields every header carries, in rendering order.
+const HEADER_KEYS: [&str; 4] = ["campaign", "seed", "tasks", "shard"];
+
 impl JournalHeader {
-    /// Renders the header line (without the trailing newline).
+    /// Renders the journal header line (without the trailing newline).
     pub(crate) fn render(&self) -> String {
+        self.render_as(FORMAT_VERSION)
+    }
+
+    /// Renders the header fields behind the version token `version`.
+    pub(crate) fn render_as(&self, version: &str) -> String {
         format!(
-            "{FORMAT_VERSION} campaign={} seed={:016x} tasks={} shard={}/{}",
-            self.campaign, self.seed, self.tasks, self.shard_index, self.shard_count
+            "{version} campaign={} seed={:016x} tasks={} shard={}",
+            self.campaign, self.seed, self.tasks, self.shard
         )
     }
 
-    /// Whether this header owns `slot` under the modulo partition.
-    pub fn owns_slot(&self, slot: usize) -> bool {
-        slot % self.shard_count as usize == self.shard_index as usize
+    /// Parses the fields after a header's version token: the header
+    /// fields plus the `extra` ones a format adds, which the caller
+    /// reads from the returned [`Fields`].
+    pub(crate) fn parse_with<'a>(
+        rest: &'a str,
+        extra: &[&str],
+    ) -> Result<(JournalHeader, Fields<'a>), LineError> {
+        let keys: Vec<&str> = HEADER_KEYS.iter().chain(extra).copied().collect();
+        let f = Fields::parse(rest, "header", &keys, &[])?;
+        let header = JournalHeader {
+            campaign: f.get("campaign").expect("required key").to_string(),
+            seed: f.hex("seed")?,
+            tasks: f.counter("tasks")?,
+            shard: f.shard("shard")?,
+        };
+        Ok((header, f))
     }
 
     fn parse(line: &str) -> Result<JournalHeader, JournalError> {
-        let mut parts = line.split_whitespace();
-        let version = parts.next().unwrap_or_default();
-        if version != FORMAT_VERSION {
-            return Err(JournalError::VersionSkew {
-                found: version.to_string(),
-            });
+        let rest = codec::split_version(line, FORMAT_VERSION)
+            .map_err(|found| JournalError::VersionSkew { found })?;
+        let (header, _) =
+            JournalHeader::parse_with(rest, &[]).map_err(|_| JournalError::BadHeader {
+                line: line.to_string(),
+            })?;
+        Ok(header)
+    }
+
+    /// The first field on which this header differs from `expected`,
+    /// as `(field, found, expected)` renderings.
+    pub(crate) fn first_difference(
+        &self,
+        expected: &JournalHeader,
+    ) -> Option<(&'static str, String, String)> {
+        if self.campaign != expected.campaign {
+            return Some(("campaign", self.campaign.clone(), expected.campaign.clone()));
         }
-        let bad = || JournalError::BadHeader {
-            line: line.to_string(),
-        };
-        let mut campaign = None;
-        let mut seed = None;
-        let mut tasks = None;
-        let mut shard = None;
-        for part in parts {
-            let (key, value) = part.split_once('=').ok_or_else(bad)?;
-            match key {
-                "campaign" => campaign = Some(value.to_string()),
-                "seed" => seed = Some(u64::from_str_radix(value, 16).map_err(|_| bad())?),
-                "tasks" => tasks = Some(value.parse::<usize>().map_err(|_| bad())?),
-                "shard" => {
-                    let (i, n) = value.split_once('/').ok_or_else(bad)?;
-                    let i = i.parse::<u32>().map_err(|_| bad())?;
-                    let n = n.parse::<u32>().map_err(|_| bad())?;
-                    if n == 0 || i >= n {
-                        return Err(bad());
-                    }
-                    shard = Some((i, n));
-                }
-                _ => return Err(bad()),
-            }
+        if self.seed != expected.seed {
+            let hex = |seed: u64| format!("{seed:016x}");
+            return Some(("seed", hex(self.seed), hex(expected.seed)));
         }
-        let (shard_index, shard_count) = shard.ok_or_else(bad)?;
-        Ok(JournalHeader {
-            campaign: campaign.ok_or_else(bad)?,
-            seed: seed.ok_or_else(bad)?,
-            tasks: tasks.ok_or_else(bad)?,
-            shard_index,
-            shard_count,
-        })
+        if self.tasks != expected.tasks {
+            return Some(("tasks", self.tasks.to_string(), expected.tasks.to_string()));
+        }
+        if self.shard != expected.shard {
+            return Some(("shard", self.shard.to_string(), expected.shard.to_string()));
+        }
+        None
     }
 }
 
@@ -390,14 +401,7 @@ impl Journal {
     /// See [`JournalError`] — anything except a torn tail fails.
     pub fn load(path: &Path) -> Result<Journal, JournalError> {
         let raw = fs::read_to_string(path)?;
-        // Split into complete (newline-terminated) lines plus a
-        // possibly-torn tail fragment.
-        let mut complete: Vec<&str> = Vec::new();
-        let mut rest = raw.as_str();
-        while let Some(pos) = rest.find('\n') {
-            complete.push(&rest[..pos]);
-            rest = &rest[pos + 1..];
-        }
+        let (complete, rest) = codec::split_lines(&raw);
         let mut torn_tail = !rest.is_empty();
 
         let header_line = complete.first().ok_or_else(|| {
@@ -430,7 +434,7 @@ impl Journal {
             if recorded_chain != expected_chain {
                 return Err(JournalError::ChainMismatch { line_number });
             }
-            if slot >= header.tasks || !header.owns_slot(slot) {
+            if slot >= header.tasks || !header.shard.owns(slot) {
                 return Err(JournalError::ForeignSlot { slot });
             }
             if seen[slot] {
@@ -476,31 +480,14 @@ impl Journal {
     /// Returns [`JournalError::HeaderMismatch`] naming the first
     /// disagreeing field.
     pub fn check_header(&self, expected: &JournalHeader) -> Result<(), JournalError> {
-        let h = &self.header;
-        let mismatch = |field: &'static str, found: String, want: String| {
-            Err(JournalError::HeaderMismatch {
+        match self.header.first_difference(expected) {
+            Some((field, found, expected)) => Err(JournalError::HeaderMismatch {
                 field,
                 found,
-                expected: want,
-            })
-        };
-        if h.campaign != expected.campaign {
-            return mismatch("campaign", h.campaign.clone(), expected.campaign.clone());
+                expected,
+            }),
+            None => Ok(()),
         }
-        if h.seed != expected.seed {
-            return mismatch("seed", format!("{:016x}", h.seed), format!("{:016x}", expected.seed));
-        }
-        if h.tasks != expected.tasks {
-            return mismatch("tasks", h.tasks.to_string(), expected.tasks.to_string());
-        }
-        if (h.shard_index, h.shard_count) != (expected.shard_index, expected.shard_count) {
-            return mismatch(
-                "shard",
-                format!("{}/{}", h.shard_index, h.shard_count),
-                format!("{}/{}", expected.shard_index, expected.shard_count),
-            );
-        }
-        Ok(())
     }
 
     /// The slots this journal has completed, as a sorted list.
@@ -519,7 +506,7 @@ impl Journal {
     /// Returns [`JournalError::DuplicateSlot`] / [`JournalError::ForeignSlot`]
     /// on contract violations and [`JournalError::Io`] on write failure.
     pub fn append(&mut self, slot: usize, payload: &[f64]) -> Result<(), JournalError> {
-        if slot >= self.header.tasks || !self.header.owns_slot(slot) {
+        if slot >= self.header.tasks || !self.header.shard.owns(slot) {
             return Err(JournalError::ForeignSlot { slot });
         }
         if self.records.iter().any(|(s, _)| *s == slot) {
@@ -618,7 +605,7 @@ pub fn merge_allowing(
         .collect::<Result<_, _>>()?;
 
     let first = &shards[0].header;
-    let n = first.shard_count;
+    let n = first.shard.count;
     if shards.len() != n as usize {
         return Err(JournalError::BadShardFamily {
             detail: format!("{} inputs for a {n}-way partition", shards.len()),
@@ -627,7 +614,7 @@ pub fn merge_allowing(
     let mut seen_shard = vec![false; n as usize];
     for j in &shards {
         let h = &j.header;
-        if (h.campaign.as_str(), h.seed, h.tasks, h.shard_count)
+        if (h.campaign.as_str(), h.seed, h.tasks, h.shard.count)
             != (first.campaign.as_str(), first.seed, first.tasks, n)
         {
             return Err(JournalError::BadShardFamily {
@@ -637,12 +624,12 @@ pub fn merge_allowing(
                     h.campaign,
                     h.seed,
                     h.tasks,
-                    h.shard_count,
+                    h.shard.count,
                     first.campaign
                 ),
             });
         }
-        let idx = h.shard_index as usize;
+        let idx = h.shard.index as usize;
         if seen_shard[idx] {
             return Err(JournalError::BadShardFamily {
                 detail: format!("shard {idx}/{n} appears twice"),
@@ -672,8 +659,7 @@ pub fn merge_allowing(
         campaign: first.campaign.clone(),
         seed: first.seed,
         tasks: first.tasks,
-        shard_index: 0,
-        shard_count: 1,
+        shard: Shard::solo(),
     };
     let mut merged = Journal::create(out, merged_header)?;
     for (slot, payload) in slots.into_iter().enumerate() {

@@ -9,6 +9,8 @@
 //! * [`journal`] — the append-only, digest-chained journal file each
 //!   shard writes one record to per completed slot, with torn-tail
 //!   crash recovery and hard errors on version skew or chain breaks;
+//! * `codec` — the one `key=value` line grammar the journal header,
+//!   the segment header, `mbsrv1` frames and serve's `job.meta` share;
 //! * [`campaign`] — the registry binding campaign names to the slot
 //!   APIs of the figure runners and to their pinned digests;
 //! * [`driver`] — replay + [`mb_simcore::par::Checkpoint`] resume +
@@ -41,6 +43,7 @@
 
 pub mod campaign;
 pub mod client;
+mod codec;
 pub mod driver;
 pub mod journal;
 pub mod lock;

@@ -641,7 +641,7 @@ fn cmd_digest(args: &[String]) -> ExitCode {
     while i < args.len() {
         match args[i].as_str() {
             "--expect" if i + 1 < args.len() => {
-                let text = args[i + 1].trim_start_matches("0x");
+                let text = args[i + 1].strip_prefix("0x").unwrap_or(&args[i + 1]);
                 let Ok(v) = u64::from_str_radix(text, 16) else {
                     eprintln!("mb-lab: bad --expect '{}'", args[i + 1]);
                     return ExitCode::from(exit_code::USAGE);

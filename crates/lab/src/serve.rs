@@ -39,6 +39,7 @@
 //! and never feeds a decision or a measurement.
 
 use crate::campaign;
+use crate::codec::Fields;
 use crate::lock::{LockError, PathLock};
 use crate::protocol::{self, JobState, JobStatus, Reply, Request};
 use crate::supervise::{self, SuperviseError, SupervisePolicy};
@@ -228,6 +229,15 @@ fn persist_meta(dir: &Path, id: &str, campaign: &str, shards: u32) -> std::io::R
     fs::write(meta_path(dir, id), format!("campaign={campaign} shards={shards}\n"))
 }
 
+/// Reads a job's identity back from its `job.meta`: `None` when the
+/// file is missing or breaks the line grammar.
+fn read_meta(dir: &Path, id: &str) -> Option<(String, u32)> {
+    let meta = fs::read_to_string(meta_path(dir, id)).ok()?;
+    let line = meta.strip_suffix('\n').unwrap_or(&meta);
+    let f = Fields::parse(line, "job.meta", &["campaign", "shards"], &[]).ok()?;
+    Some((f.get("campaign")?.to_string(), f.counter("shards").ok()?))
+}
+
 /// Persists a terminal state as the rendered `done` frame, so the
 /// outcome format *is* the protocol format.
 fn persist_outcome(dir: &Path, id: &str, entry_done: &Reply) -> std::io::Result<()> {
@@ -268,20 +278,8 @@ fn rescan(dir: &Path) -> std::io::Result<(ServerState, usize)> {
     };
     ids.sort();
     for id in ids {
-        let Ok(meta) = fs::read_to_string(meta_path(dir, &id)) else {
-            continue; // a dir without meta was never acknowledged
-        };
-        let mut campaign_name = None;
-        let mut shards = None;
-        for token in meta.split_whitespace() {
-            if let Some(v) = token.strip_prefix("campaign=") {
-                campaign_name = Some(v.to_string());
-            } else if let Some(v) = token.strip_prefix("shards=") {
-                shards = v.parse::<u32>().ok();
-            }
-        }
-        let (Some(campaign_name), Some(shards)) = (campaign_name, shards) else {
-            continue;
+        let Some((campaign_name, shards)) = read_meta(dir, &id) else {
+            continue; // never acknowledged, or not a job.meta this server wrote
         };
         let total = campaign::find(&campaign_name)
             .map(|c| c.task_labels().len())
@@ -834,6 +832,33 @@ mod tests {
         assert!(state.jobs["j7"].checked);
         assert_eq!(state.jobs["j3"].state, JobState::Queued);
         assert_eq!(state.next_id, 8, "next id clears every rescanned id");
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn rescan_resumes_planted_meta_and_skips_malformed_meta() {
+        let dir = std::env::temp_dir().join(format!("mb-serve-rescan3-{}", std::process::id()));
+        let _ = fs::remove_dir_all(&dir);
+        for (id, meta) in [
+            ("j1", "campaign=fig3-quick shards=2\n"),
+            ("j2", "campaign=fig3-quick shards=two\n"),
+            ("j3", "fig3-quick 2\n"),
+        ] {
+            fs::create_dir_all(job_dir(&dir, id)).expect("scratch");
+            fs::write(meta_path(&dir, id), meta).expect("meta");
+        }
+        let (state, resumed) = rescan(&dir).expect("rescan");
+        assert_eq!(resumed, 1);
+        assert_eq!(state.queue, vec!["j1".to_string()]);
+        let job = &state.jobs["j1"];
+        assert_eq!((job.campaign.as_str(), job.shards), ("fig3-quick", 2));
+        assert_eq!(job.state, JobState::Queued);
+        let tasks = campaign::find("fig3-quick")
+            .expect("registered")
+            .task_labels()
+            .len();
+        assert_eq!(job.total, tasks);
+        assert_eq!(state.jobs.len(), 1, "malformed job.meta files are skipped");
         let _ = fs::remove_dir_all(&dir);
     }
 

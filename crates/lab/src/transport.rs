@@ -16,6 +16,8 @@
 //! end 13579bdf02468ace
 //! ```
 //!
+//! * The header is the journal header's fields under the `mbseg1`
+//!   token, plus `from`, `count` and `chain`.
 //! * `from` is the append-order offset of the first carried record in
 //!   the source journal, `count` the number of records carried.
 //! * `chain` is the journal's digest-chain value *before* the first
@@ -37,6 +39,7 @@
 //! segments in any valid order, any number of times, converges every
 //! replica to a byte-identical copy of the source journal.
 
+use crate::codec::{self, LineError};
 use crate::journal::{
     chain_step, parse_record, record_body, Journal, JournalError, JournalHeader,
 };
@@ -208,14 +211,6 @@ pub struct IngestOutcome {
     pub duplicates: usize,
 }
 
-fn render_segment_header(header: &JournalHeader, from: usize, count: usize, chain: u64) -> String {
-    format!(
-        "{SEGMENT_VERSION} campaign={} seed={:016x} tasks={} shard={}/{} from={from} count={count} \
-         chain={chain:016x}",
-        header.campaign, header.seed, header.tasks, header.shard_index, header.shard_count
-    )
-}
-
 /// Exports the records `from..` of the journal at `journal_path` as a
 /// segment file at `out`. `from == len` is a valid empty segment (a
 /// heartbeat upload); `from > len` is [`TransportError::BadRange`].
@@ -235,8 +230,11 @@ pub fn export_segment(
         return Err(TransportError::BadRange { from, len });
     }
     let chain_before = journal.chain_at(from);
-    let mut text = render_segment_header(&journal.header, from, len - from, chain_before);
-    text.push('\n');
+    let mut text = format!(
+        "{} from={from} count={} chain={chain_before:016x}\n",
+        journal.header.render_as(SEGMENT_VERSION),
+        len - from
+    );
     let mut chain = chain_before;
     let mut records = Vec::new();
     for (slot, payload) in &journal.records[from..] {
@@ -274,12 +272,7 @@ pub fn load_segment(path: &Path) -> Result<Segment, TransportError> {
     })?;
     // A valid segment ends with a newline-terminated `end` line; any
     // unterminated tail means the upload was cut short.
-    let mut lines: Vec<&str> = Vec::new();
-    let mut rest = raw.as_str();
-    while let Some(pos) = rest.find('\n') {
-        lines.push(&rest[..pos]);
-        rest = &rest[pos + 1..];
-    }
+    let (lines, rest) = codec::split_lines(&raw);
     if !rest.is_empty() {
         return Err(TransportError::TornSegment {
             detail: "unterminated final line".to_string(),
@@ -289,50 +282,16 @@ pub fn load_segment(path: &Path) -> Result<Segment, TransportError> {
     let header_line = *lines.first().ok_or_else(|| TransportError::TornSegment {
         detail: "empty file".to_string(),
     })?;
-    let mut parts = header_line.split_whitespace();
-    let version = parts.next().unwrap_or_default();
-    if version != SEGMENT_VERSION {
-        return Err(TransportError::VersionSkew {
-            found: version.to_string(),
-        });
-    }
-    let bad = |what: &str| TransportError::BadSegment {
-        detail: format!("{what} in header '{header_line}'"),
+    let fields = codec::split_version(header_line, SEGMENT_VERSION)
+        .map_err(|found| TransportError::VersionSkew { found })?;
+    let bad = |e: LineError| TransportError::BadSegment {
+        detail: format!("{} in header '{header_line}'", e.0),
     };
-    let (mut campaign, mut seed, mut tasks, mut shard) = (None, None, None, None);
-    let (mut from, mut count, mut chain) = (None, None, None);
-    for part in parts {
-        let (key, value) = part.split_once('=').ok_or_else(|| bad("bare token"))?;
-        match key {
-            "campaign" => campaign = Some(value.to_string()),
-            "seed" => seed = Some(u64::from_str_radix(value, 16).map_err(|_| bad("seed"))?),
-            "tasks" => tasks = Some(value.parse::<usize>().map_err(|_| bad("tasks"))?),
-            "shard" => {
-                let (i, n) = value.split_once('/').ok_or_else(|| bad("shard"))?;
-                let i: u32 = i.parse().map_err(|_| bad("shard index"))?;
-                let n: u32 = n.parse().map_err(|_| bad("shard count"))?;
-                if n == 0 || i >= n {
-                    return Err(bad("shard range"));
-                }
-                shard = Some((i, n));
-            }
-            "from" => from = Some(value.parse::<usize>().map_err(|_| bad("from"))?),
-            "count" => count = Some(value.parse::<usize>().map_err(|_| bad("count"))?),
-            "chain" => chain = Some(u64::from_str_radix(value, 16).map_err(|_| bad("chain"))?),
-            _ => return Err(bad("unknown key")),
-        }
-    }
-    let (shard_index, shard_count) = shard.ok_or_else(|| bad("missing shard"))?;
-    let header = JournalHeader {
-        campaign: campaign.ok_or_else(|| bad("missing campaign"))?,
-        seed: seed.ok_or_else(|| bad("missing seed"))?,
-        tasks: tasks.ok_or_else(|| bad("missing tasks"))?,
-        shard_index,
-        shard_count,
-    };
-    let from = from.ok_or_else(|| bad("missing from"))?;
-    let count = count.ok_or_else(|| bad("missing count"))?;
-    let chain_before = chain.ok_or_else(|| bad("missing chain"))?;
+    let (header, f) =
+        JournalHeader::parse_with(fields, &["from", "count", "chain"]).map_err(bad)?;
+    let from = f.counter("from").map_err(bad)?;
+    let count = f.counter("count").map_err(bad)?;
+    let chain_before = f.hex("chain").map_err(bad)?;
 
     let body_lines = &lines[1..];
     let Some((end_line, record_lines)) = body_lines.split_last() else {
@@ -396,29 +355,12 @@ pub fn ingest_segment(dest: &Path, segment_path: &Path) -> Result<IngestOutcome,
     let segment = load_segment(segment_path)?;
     let mut journal = if dest.exists() {
         let journal = Journal::load(dest)?;
-        let mismatch = |field: &'static str, found: String, expected: String| {
-            Err(TransportError::SegmentMismatch {
+        if let Some((field, found, expected)) = segment.header.first_difference(&journal.header) {
+            return Err(TransportError::SegmentMismatch {
                 field,
                 found,
                 expected,
-            })
-        };
-        let (h, d) = (&segment.header, &journal.header);
-        if h.campaign != d.campaign {
-            return mismatch("campaign", h.campaign.clone(), d.campaign.clone());
-        }
-        if h.seed != d.seed {
-            return mismatch("seed", format!("{:016x}", h.seed), format!("{:016x}", d.seed));
-        }
-        if h.tasks != d.tasks {
-            return mismatch("tasks", h.tasks.to_string(), d.tasks.to_string());
-        }
-        if (h.shard_index, h.shard_count) != (d.shard_index, d.shard_count) {
-            return mismatch(
-                "shard",
-                format!("{}/{}", h.shard_index, h.shard_count),
-                format!("{}/{}", d.shard_index, d.shard_count),
-            );
+            });
         }
         journal
     } else {
@@ -435,37 +377,32 @@ pub fn ingest_segment(dest: &Path, segment_path: &Path) -> Result<IngestOutcome,
     // The splice point must sit on the same history: the replica's
     // chain after `from` records has to equal the segment's declared
     // starting chain.
-    if journal.chain_at(segment.from) != segment.chain_before {
+    let mut chain = journal.chain_at(segment.from);
+    if chain != segment.chain_before {
         return Err(TransportError::ChainBreak { record: 0 });
     }
-    // Overlap: records the replica already holds. Chain equality is
-    // record equality (the chain commits to slot and payload bits), so
-    // comparing the running chain suffices.
-    let mut duplicates = 0;
-    for (i, (_, _, seg_chain)) in segment.records.iter().enumerate() {
-        let pos = segment.from + i;
-        if pos < have {
-            if journal.chain_at(pos + 1) != *seg_chain {
-                return Err(TransportError::ChainBreak { record: i });
-            }
-            duplicates += 1;
+    // Overlap: records the replica already holds, walked once from the
+    // splice point. Chain equality is record equality (the chain
+    // commits to slot and payload bits), so comparing the running chain
+    // suffices.
+    let overlap = journal.records[segment.from..].iter().zip(&segment.records);
+    for (i, ((slot, payload), (_, _, seg_chain))) in overlap.enumerate() {
+        chain = chain_step(chain, &record_body(*slot, payload));
+        if chain != *seg_chain {
+            return Err(TransportError::ChainBreak { record: i });
         }
     }
+    let duplicates = segment.records.len().min(have - segment.from);
     // New suffix: append through the journal so the replica re-derives
     // and re-verifies the chain itself.
-    let mut appended = 0;
-    for (i, (slot, payload, seg_chain)) in segment.records.iter().enumerate() {
-        if segment.from + i < have {
-            continue;
-        }
+    for (i, (slot, payload, seg_chain)) in segment.records.iter().enumerate().skip(duplicates) {
         journal.append(*slot, payload)?;
         if journal.chain() != *seg_chain {
             return Err(TransportError::ChainBreak { record: i });
         }
-        appended += 1;
     }
     Ok(IngestOutcome {
-        appended,
+        appended: segment.records.len() - duplicates,
         duplicates,
     })
 }
@@ -473,6 +410,7 @@ pub fn ingest_segment(dest: &Path, segment_path: &Path) -> Result<IngestOutcome,
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::driver::Shard;
     use std::path::PathBuf;
 
     fn scratch(name: &str) -> PathBuf {
@@ -491,8 +429,7 @@ mod tests {
             campaign: "transport-test".to_string(),
             seed: 0xFEED,
             tasks: 16,
-            shard_index: 0,
-            shard_count: 1,
+            shard: Shard::solo(),
         };
         let mut journal = Journal::create(&path, header).expect("create");
         for slot in 0..records {
@@ -645,8 +582,7 @@ mod tests {
                 campaign: "some-other-campaign".to_string(),
                 seed: 0xFEED,
                 tasks: 16,
-                shard_index: 0,
-                shard_count: 1,
+                shard: Shard::solo(),
             },
         )
         .expect("create");
@@ -675,6 +611,68 @@ mod tests {
         ));
         // And the replica kept its own record.
         assert_eq!(Journal::load(&dest).expect("reload").records.len(), 1);
+    }
+
+    #[test]
+    fn replica_diverging_mid_overlap_is_a_chain_break_at_that_record() {
+        let dir = scratch("diverge-mid");
+        let src = sample_journal(&dir, 4);
+        let seg = dir.join("all.seg");
+        export_segment(&src, 0, &seg).expect("export");
+
+        // The replica agrees on records 0 and 1, then holds a different
+        // record 2.
+        let dest = dir.join("replica.journal");
+        let header = Journal::load(&src).expect("load").header;
+        let mut journal = Journal::create(&dest, header).expect("create");
+        for slot in 0..2 {
+            journal
+                .append(slot, &[slot as f64, 0.5 + slot as f64])
+                .expect("append");
+        }
+        journal.append(2, &[99.0, 99.5]).expect("append");
+        let before = fs::read(&dest).expect("replica");
+        assert!(matches!(
+            ingest_segment(&dest, &seg),
+            Err(TransportError::ChainBreak { record: 2 })
+        ));
+        assert_eq!(
+            fs::read(&dest).expect("replica"),
+            before,
+            "replica untouched"
+        );
+    }
+
+    #[test]
+    fn segment_header_grammar_rejects_what_no_renderer_writes() {
+        let dir = scratch("grammar");
+        let src = sample_journal(&dir, 1);
+        let seg = dir.join("all.seg");
+        export_segment(&src, 0, &seg).expect("export");
+        let full = fs::read_to_string(&seg).expect("read");
+        let (header, rest) = full.split_once('\n').expect("header line");
+        let rows = [
+            ("duplicate key", format!("{header} from=0")),
+            (
+                "duplicate key, last value valid",
+                header.replace("count=1", "count=7 count=1"),
+            ),
+            (
+                "empty value",
+                header.replace("campaign=transport-test", "campaign="),
+            ),
+            ("tab separator", header.replace(" count=", "\tcount=")),
+            ("trailing tab", format!("{header}\t")),
+        ];
+        for (case, line) in rows {
+            fs::write(&seg, format!("{line}\n{rest}")).expect("write");
+            match load_segment(&seg) {
+                Err(e @ TransportError::BadSegment { .. }) => {
+                    assert_eq!(e.exit_code(), 3, "{case}");
+                }
+                other => panic!("{case}: '{line}' must be a BadSegment, got {other:?}"),
+            }
+        }
     }
 
     #[test]

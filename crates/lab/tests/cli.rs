@@ -357,3 +357,41 @@ fn supervise_dir_owned_by_a_live_process_is_refused_with_exit_5() {
     );
     let _ = fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn digest_expect_strips_at_most_one_hex_prefix() {
+    let dir = scratch("expect");
+    let journal = dir.join("selftest.journal");
+    let output = mb_lab()
+        .args(["run", "selftest", "--journal"])
+        .arg(&journal)
+        .output()
+        .expect("seed a valid journal");
+    assert!(output.status.success());
+    let output = mb_lab()
+        .arg("digest")
+        .arg(&journal)
+        .output()
+        .expect("digest");
+    let stdout = String::from_utf8_lossy(&output.stdout);
+    let digest = stdout
+        .split("digest 0x")
+        .nth(1)
+        .map(str::trim)
+        .expect("digest line")
+        .to_string();
+    for (expect, code) in [
+        (format!("0x{digest}"), 0),
+        (digest.clone(), 0),
+        (format!("0x0x{digest}"), 2),
+    ] {
+        let output = mb_lab()
+            .arg("digest")
+            .arg(&journal)
+            .args(["--expect", &expect])
+            .output()
+            .expect("digest --expect");
+        assert_eq!(output.status.code(), Some(code), "--expect {expect}");
+    }
+    let _ = fs::remove_dir_all(&dir);
+}

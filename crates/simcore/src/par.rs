@@ -352,7 +352,7 @@ where
 /// Shared contained-execution engine: runs every job (with its
 /// precomputed [`TaskCtx`]) to completion regardless of failures,
 /// returning results positionally. Used by [`sweep_contained`] and by
-/// [`Checkpoint::resume`], which feeds it only the missing slots while
+/// [`Checkpoint::resume_slots`], which feeds it only the missing slots while
 /// preserving the original `(index, seed)` bindings.
 fn run_contained<T, R, F>(jobs: Vec<(TaskCtx, String, T)>, f: &F) -> Vec<Result<R, MbError>>
 where
@@ -425,9 +425,10 @@ where
 
 /// A partially completed sweep that can be resumed.
 ///
-/// Produced by [`sweep_checkpoint`]. Completed slots hold their results;
-/// failed slots hold the [`MbError::TaskFailed`] that poisoned them.
-/// [`Checkpoint::resume`] reruns *only* the failed slots with their
+/// Built by [`Checkpoint::from_slots`], from a [`sweep_contained`] run
+/// or from an `mb-lab` journal replay. Completed slots hold their
+/// results; failed slots hold the [`MbError::TaskFailed`] that poisoned
+/// them. [`Checkpoint::resume_slots`] reruns *only* the failed slots with their
 /// original `(index, seed)` bindings — the SplitMix64 stream is
 /// re-derived from the stored experiment seed — so a resumed sweep is
 /// bit-identical to one that never failed (assuming the retried tasks
@@ -486,30 +487,13 @@ impl<R: Send> Checkpoint<R> {
             .collect()
     }
 
-    /// Reruns only the failed slots against a fresh copy of the full
-    /// task list (same ordering as the original sweep). Tasks whose
-    /// slots already completed are dropped untouched; retried tasks see
-    /// their original `TaskCtx` so results are position-for-position
-    /// identical to a clean run.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `tasks.len()` differs from the checkpoint width — that
-    /// means the caller re-supplied a different sweep.
-    pub fn resume<T, F>(&mut self, tasks: Vec<(String, T)>, f: F)
-    where
-        T: Send,
-        F: Fn(TaskCtx, T) -> R + Sync,
-    {
-        let all: Vec<usize> = (0..self.slots.len()).collect();
-        self.resume_slots(tasks, &all, f);
-    }
-
-    /// [`Self::resume`] restricted to a slot subset: reruns only the
-    /// failed slots whose index appears in `indices`, leaving every
-    /// other slot (completed *or* failed) untouched. This is how a
-    /// sharded driver heals its own partition of a sweep without
-    /// claiming work owned by sibling shards.
+    /// Reruns only the failed slots whose index appears in `indices`,
+    /// against a fresh copy of the full task list (same ordering as the
+    /// original sweep), leaving every other slot (completed *or*
+    /// failed) untouched. Retried tasks see their original `TaskCtx`,
+    /// so results are position-for-position identical to a clean run.
+    /// This is how a sharded driver heals its own partition of a sweep
+    /// without claiming work owned by sibling shards.
     ///
     /// # Panics
     ///
@@ -565,24 +549,6 @@ impl<R: Send> Checkpoint<R> {
     /// Consumes the checkpoint into the raw per-slot results.
     pub fn into_slots(self) -> Vec<Result<R, MbError>> {
         self.slots
-    }
-}
-
-/// Runs a contained sweep (see [`sweep_contained`]) and wraps the
-/// outcome in a resumable [`Checkpoint`].
-pub fn sweep_checkpoint<T, R, F>(
-    experiment_seed: u64,
-    tasks: Vec<(String, T)>,
-    f: F,
-) -> Checkpoint<R>
-where
-    T: Send,
-    R: Send,
-    F: Fn(TaskCtx, T) -> R + Sync,
-{
-    Checkpoint {
-        experiment_seed,
-        slots: sweep_contained(experiment_seed, tasks, f),
     }
 }
 
@@ -734,12 +700,13 @@ mod tests {
         use std::sync::atomic::AtomicUsize;
         let tasks = || (0..12u64).map(|i| (format!("cp-{i}"), i)).collect::<Vec<_>>();
         // First pass: even slots fail.
-        let mut cp = sweep_checkpoint(0xCAFE, tasks(), |ctx, x| {
+        let first = sweep_contained(0xCAFE, tasks(), |ctx, x| {
             if x % 2 == 0 {
                 panic!("transient");
             }
             ctx.seed ^ x
         });
+        let mut cp = Checkpoint::from_slots(0xCAFE, first);
         assert!(!cp.is_complete());
         assert_eq!(cp.missing(), vec![0, 2, 4, 6, 8, 10]);
         assert_eq!(cp.failures().len(), 6);
@@ -747,7 +714,7 @@ mod tests {
 
         // Resume: the flake is gone; only the 6 missing slots rerun.
         let reruns = AtomicUsize::new(0);
-        cp.resume(tasks(), |ctx, x| {
+        cp.resume_slots(tasks(), &(0..12).collect::<Vec<_>>(), |ctx, x| {
             reruns.fetch_add(1, Ordering::Relaxed);
             ctx.seed ^ x
         });
@@ -761,7 +728,7 @@ mod tests {
 
     #[test]
     fn checkpoint_into_results_surfaces_first_failure() {
-        let cp = sweep_checkpoint(
+        let slots = sweep_contained(
             1,
             vec![("ok".to_string(), 0u32), ("boom".to_string(), 1u32)],
             |_, x| {
@@ -771,6 +738,7 @@ mod tests {
                 x
             },
         );
+        let cp = Checkpoint::from_slots(1, slots);
         match cp.into_results() {
             Err(MbError::TaskFailed { label, message }) => {
                 assert_eq!(label, "boom");
@@ -812,7 +780,7 @@ mod tests {
         assert_eq!(cp.missing(), vec![1, 3, 5]);
         let tasks = (0..6u64).map(|i| (format!("t{i}"), i)).collect();
         let reran = AtomicUsize::new(0);
-        cp.resume(tasks, |ctx, x| {
+        cp.resume_slots(tasks, &(0..6).collect::<Vec<_>>(), |ctx, x| {
             reran.fetch_add(1, Ordering::Relaxed);
             ctx.seed ^ x
         });
@@ -844,15 +812,17 @@ mod tests {
     #[test]
     #[should_panic(expected = "slot index 9 out of range")]
     fn resume_slots_rejects_out_of_range_index() {
-        let mut cp = sweep_checkpoint(2, vec![("a".to_string(), 1u8)], |_, x| x);
+        let slots = sweep_contained(2, vec![("a".to_string(), 1u8)], |_, x| x);
+        let mut cp = Checkpoint::from_slots(2, slots);
         cp.resume_slots(vec![("a".to_string(), 1u8)], &[9], |_, x| x);
     }
 
     #[test]
     #[should_panic(expected = "resume requires the original task list")]
     fn checkpoint_rejects_resized_resume() {
-        let mut cp = sweep_checkpoint(2, vec![("a".to_string(), 1u8)], |_, x| x);
-        cp.resume(Vec::new(), |_, x: u8| x);
+        let slots = sweep_contained(2, vec![("a".to_string(), 1u8)], |_, x| x);
+        let mut cp = Checkpoint::from_slots(2, slots);
+        cp.resume_slots(Vec::new(), &[], |_, x: u8| x);
     }
 
     #[test]

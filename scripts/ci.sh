@@ -104,7 +104,7 @@ echo "==> mb-lab exit-code contract (CLI + chaos suites)"
 # loudly here, not as one line in the workspace wall of dots.
 cargo test --release -p mb-lab --test cli --test supervise_chaos --quiet
 cargo test --release -p mb-lab \
-    --test protocol_format --test serve_soak --test serve_chaos --quiet
+    --test protocol_format --test journal_format --test serve_soak --test serve_chaos --quiet
 
 echo "==> mb-lab serve smoke (submit/watch/fetch over the socket, SIGKILL + resume)"
 # The always-on service end to end: start a server, submit fig3-quick
