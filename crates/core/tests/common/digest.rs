@@ -5,7 +5,8 @@
 //! bit-identical to the unvalidated build — the ISSUE's acceptance gate.
 
 use mb_faults::FaultConfig;
-use montblanc::{fig3, fig5, fig7, table2};
+use mb_cpu::gpu::GpuModel;
+use montblanc::{ablation, fig3, fig4, fig5, fig6, fig7, sec5a, sec6, table2};
 
 /// Folds a stream of `f64`s into one order-sensitive 64-bit digest.
 /// Uses `to_bits`, so any change in any bit of any value changes it.
@@ -142,6 +143,123 @@ fn table2_digest(cfg: &table2::Table2Config) -> u64 {
     )
 }
 
+/// Digest of Figure 4 quick-config output: both makespans, every
+/// traced state interval and message of the commodity run, and the
+/// delay verdict.
+pub fn fig4_quick() -> u64 {
+    let r = fig4::run(&fig4::Fig4Config::quick());
+    let nanos = |t: mb_simcore::time::SimTime| t.as_nanos() as f64;
+    let states = r.trace.states().iter().flat_map(|s| {
+        [
+            f64::from(s.rank),
+            nanos(s.start),
+            nanos(s.end),
+            s.kind as u8 as f64,
+        ]
+    });
+    let comms = r.trace.comms().iter().flat_map(|c| {
+        [
+            f64::from(c.src),
+            f64::from(c.dst),
+            nanos(c.send_time),
+            nanos(c.recv_time),
+            c.bytes as f64,
+        ]
+    });
+    digest(
+        [nanos(r.commodity_time), nanos(r.upgraded_time)]
+            .into_iter()
+            .chain(states)
+            .chain(comms)
+            .chain([r.alltoallv_total() as f64, r.alltoallv_delayed() as f64]),
+    )
+}
+
+/// Digest of Figure 6 output (both panels, every cell's bandwidth).
+pub fn fig6() -> u64 {
+    let r = fig6::run();
+    digest(
+        [&r.xeon, &r.snowball]
+            .into_iter()
+            .flat_map(|p| p.cells.iter().map(|c| c.bandwidth_gbps)),
+    )
+}
+
+/// Digest of the Section V.A.1 quick study: every run's bandwidths,
+/// its colour imbalance and overflow, and the two CVs.
+pub fn sec5a_quick() -> u64 {
+    let r = sec5a::run(&sec5a::Sec5aConfig::quick());
+    digest(
+        r.runs
+            .iter()
+            .flat_map(|run| {
+                run.bandwidths
+                    .iter()
+                    .copied()
+                    .chain([run.colours.imbalance, run.colours.overflow_fraction])
+            })
+            .chain([r.across_run_cv, r.within_run_cv]),
+    )
+}
+
+/// Digest of Section VI: the Tegra 3 offload cases and the GFLOPS/W
+/// ladder with its exascale requirement.
+pub fn sec6() -> u64 {
+    let cases = sec6::hybrid_offload(&GpuModel::tegra3_gpu());
+    let (rungs, required) = sec6::efficiency_ladder();
+    digest(
+        cases
+            .iter()
+            .flat_map(|c| {
+                [
+                    c.cpu_time.as_nanos() as f64,
+                    c.gpu_time.map_or(-1.0, |t| t.as_nanos() as f64),
+                ]
+            })
+            .chain(
+                rungs
+                    .iter()
+                    .flat_map(|r| [r.peak_gflops, r.power.watts(), r.gflops_per_watt]),
+            )
+            .chain([required]),
+    )
+}
+
+/// Digest of the collective-algorithm ablation on 16 ranks at three
+/// payloads (the bench binary's quick grid).
+pub fn ablation_collectives() -> u64 {
+    digest(
+        ablation::collective_algorithms(16, &[64, 64 * 1024, 4 << 20])
+            .iter()
+            .flat_map(|a| {
+                a.cells
+                    .iter()
+                    .flat_map(|c| [c.tree.as_nanos() as f64, c.ring.as_nanos() as f64])
+            }),
+    )
+}
+
+/// Digest of the switch-upgrade ablation at 8 and 16 cores, 2
+/// iterations.
+pub fn ablation_switch_upgrade() -> u64 {
+    digest(ablation::switch_upgrade(&[8, 16], 2).iter().flat_map(|r| {
+        [
+            r.commodity.as_nanos() as f64,
+            r.bonded.as_nanos() as f64,
+            r.upgraded.as_nanos() as f64,
+        ]
+    }))
+}
+
+/// Digest of the page-policy ablation at 4 runs per policy.
+pub fn ablation_page_policies() -> u64 {
+    digest(
+        ablation::page_policies(4)
+            .iter()
+            .flat_map(|r| [r.mean_gbps, r.across_run_cv]),
+    )
+}
+
 /// Pinned digests. `figure_digests.rs` guards them in the normal build;
 /// `validate_smoke.rs` re-asserts them with the sanitizer compiled in.
 pub const FIG3_QUICK_DIGEST: u64 = 0xd0d5_f716_d0b3_0356;
@@ -173,3 +291,17 @@ pub const TABLE2_PAPER_DIGEST: u64 = 0x8bd9_f1e8_0879_d505;
 /// `top500-trends` campaign in the `mb-lab` registry mirrors this
 /// constant; `campaign_digests.rs` asserts the mirrors stay equal.
 pub const TOP500_TRENDS_DIGEST: u64 = 0xe0c5_c859_2a9b_23ef;
+/// Pinned digest of [`fig4_quick`].
+pub const FIG4_QUICK_DIGEST: u64 = 0x05d6_6dec_ec94_2a59;
+/// Pinned digest of [`fig6`].
+pub const FIG6_DIGEST: u64 = 0xf5a7_3939_6430_edd9;
+/// Pinned digest of [`sec5a_quick`].
+pub const SEC5A_QUICK_DIGEST: u64 = 0x0e08_224c_70c0_cdc4;
+/// Pinned digest of [`sec6`].
+pub const SEC6_DIGEST: u64 = 0xdd16_9f20_7d58_1352;
+/// Pinned digest of [`ablation_collectives`].
+pub const ABLATION_COLLECTIVES_DIGEST: u64 = 0xf47d_239a_80ed_e57a;
+/// Pinned digest of [`ablation_switch_upgrade`].
+pub const ABLATION_SWITCH_UPGRADE_DIGEST: u64 = 0xae64_ca18_d8ea_0da0;
+/// Pinned digest of [`ablation_page_policies`].
+pub const ABLATION_PAGE_POLICIES_DIGEST: u64 = 0x135a_2e08_fcba_99e2;

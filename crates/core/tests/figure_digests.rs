@@ -144,3 +144,68 @@ fn top500_trend_stream_is_pinned() {
          tests/common/digest.rs and the mb-lab registry mirror"
     );
 }
+
+// The remaining model outputs: Figure 4's traced BigDFT run, Figure 6,
+// §V.A.1, §VI and the three ablations at small arguments.
+
+#[test]
+fn fig4_quick_output_is_pinned() {
+    assert_eq!(
+        digest::fig4_quick(),
+        digest::FIG4_QUICK_DIGEST,
+        "Figure 4 quick output changed bit-identity; if intentional, \
+         re-pin FIG4_QUICK_DIGEST in tests/common/digest.rs"
+    );
+}
+
+#[test]
+fn fig6_output_is_pinned() {
+    assert_eq!(
+        digest::fig6(),
+        digest::FIG6_DIGEST,
+        "Figure 6 output changed bit-identity; if intentional, re-pin \
+         FIG6_DIGEST in tests/common/digest.rs"
+    );
+}
+
+#[test]
+fn sec5a_quick_output_is_pinned() {
+    assert_eq!(
+        digest::sec5a_quick(),
+        digest::SEC5A_QUICK_DIGEST,
+        "Section V.A.1 quick output changed bit-identity; if intentional, \
+         re-pin SEC5A_QUICK_DIGEST in tests/common/digest.rs"
+    );
+}
+
+#[test]
+fn sec6_output_is_pinned() {
+    assert_eq!(
+        digest::sec6(),
+        digest::SEC6_DIGEST,
+        "Section VI output changed bit-identity; if intentional, re-pin \
+         SEC6_DIGEST in tests/common/digest.rs"
+    );
+}
+
+#[test]
+fn ablation_outputs_are_pinned() {
+    assert_eq!(
+        digest::ablation_collectives(),
+        digest::ABLATION_COLLECTIVES_DIGEST,
+        "collective ablation changed bit-identity; if intentional, re-pin \
+         ABLATION_COLLECTIVES_DIGEST in tests/common/digest.rs"
+    );
+    assert_eq!(
+        digest::ablation_switch_upgrade(),
+        digest::ABLATION_SWITCH_UPGRADE_DIGEST,
+        "switch-upgrade ablation changed bit-identity; if intentional, \
+         re-pin ABLATION_SWITCH_UPGRADE_DIGEST in tests/common/digest.rs"
+    );
+    assert_eq!(
+        digest::ablation_page_policies(),
+        digest::ABLATION_PAGE_POLICIES_DIGEST,
+        "page-policy ablation changed bit-identity; if intentional, re-pin \
+         ABLATION_PAGE_POLICIES_DIGEST in tests/common/digest.rs"
+    );
+}

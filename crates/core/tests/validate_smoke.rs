@@ -1,7 +1,7 @@
 //! The `validate`-feature smoke run — the dynamic half of mb-check's
 //! acceptance gate (`cargo test -p montblanc --features validate`):
 //!
-//! 1. Figure 3/5/7 and Table II quick configs complete with the model's
+//! 1. Figure 3–7, Table II, §V.A.1, §VI and the ablations complete with the model's
 //!    invariant asserts armed *and* reproduce the exact bit patterns
 //!    pinned by the normal build (`tests/common/digest.rs`) — the
 //!    sanitizer observes, never perturbs.
@@ -37,6 +37,22 @@ fn figures_run_bit_identical_under_validation() {
     assert_eq!(
         digest::fig3_faulted_quick_joules().to_bits(),
         digest::FIG3_FAULTED_QUICK_JOULES_BITS
+    );
+    assert_eq!(digest::fig4_quick(), digest::FIG4_QUICK_DIGEST);
+    assert_eq!(digest::fig6(), digest::FIG6_DIGEST);
+    assert_eq!(digest::sec5a_quick(), digest::SEC5A_QUICK_DIGEST);
+    assert_eq!(digest::sec6(), digest::SEC6_DIGEST);
+    assert_eq!(
+        digest::ablation_collectives(),
+        digest::ABLATION_COLLECTIVES_DIGEST
+    );
+    assert_eq!(
+        digest::ablation_switch_upgrade(),
+        digest::ABLATION_SWITCH_UPGRADE_DIGEST
+    );
+    assert_eq!(
+        digest::ablation_page_policies(),
+        digest::ABLATION_PAGE_POLICIES_DIGEST
     );
 }
 
