@@ -30,7 +30,8 @@
 //! scales miss counts by `k`. `sample_rate = 1` is exact and is the
 //! default for every preset.
 
-use mb_mem::hierarchy::{Hierarchy, HierarchyConfig};
+use mb_mem::cache::{Replacement, Slot};
+use mb_mem::hierarchy::{Hierarchy, HierarchyConfig, HitLevel};
 use mb_mem::pages::PageTable;
 use mb_mem::tlb::{Tlb, TlbConfig};
 use mb_simcore::time::{Cycles, SimTime};
@@ -41,6 +42,58 @@ use crate::ops::{Exec, FlopKind, OpCounts, Precision, Stream};
 
 /// Size of a simulated window when sampling (accesses).
 const SAMPLE_WINDOW: u64 = 1024;
+
+/// One stream's bookkeeping during [`ModelExec::access_run`].
+///
+/// A lane defers its L1 line while it re-hits the line its last
+/// simulated element touched, and its TLB page while it stays on the
+/// page. Deferred elements are accounted in bulk; the stamps they would
+/// have written are pending until written back.
+#[derive(Debug, Clone, Copy, Default)]
+struct Lane {
+    /// First iteration whose element needs any simulation: the earlier
+    /// of `line_next` and `page_next`.
+    next: u64,
+    /// First iteration whose element goes through the hierarchy.
+    line_next: u64,
+    /// First iteration whose element goes through the TLB.
+    page_next: u64,
+    /// Whether the line is deferred, since iteration `line_from`.
+    on_line: bool,
+    line_from: u64,
+    /// Where the line sits in L1, and a physical address on it.
+    slot: Slot,
+    paddr: u64,
+    /// Whether the page is deferred, in TLB entry `entry`.
+    on_page: bool,
+    entry: usize,
+    /// A virtual address on the page.
+    vaddr: u64,
+    /// Whether the next lane is this one's twin: a stream at the same
+    /// addresses, whose every element re-touches the line and page this
+    /// lane's element just touched. The twin is never simulated (but
+    /// for a window's first element); its touches are this lane's.
+    twin: bool,
+}
+
+impl Lane {
+    /// A lane at a window's start, keeping the run's twin pairing; a
+    /// twin of the previous lane never needs simulating.
+    fn fresh(twin: bool, is_twin: bool) -> Lane {
+        Lane {
+            twin,
+            next: if is_twin { u64::MAX } else { 0 },
+            ..Lane::default()
+        }
+    }
+}
+
+/// Where a run's accounting stands: elements before `tlb_at` are in
+/// the TLB's clock, elements before `l1_at` in L1's.
+struct Cursor {
+    tlb_at: u64,
+    l1_at: u64,
+}
 
 /// The final verdict of a modelled run.
 #[derive(Debug, Clone, PartialEq)]
@@ -104,6 +157,13 @@ pub struct ModelExec {
     wide_accesses: u64,
     mlp_hint: u32,
     prefetch_hint: f64,
+
+    // `access_run` scratch, empty and zero between calls.
+    lanes: Vec<Lane>,
+    /// Lanes with a deferred line, per L1 set.
+    lines_in_set: Vec<u32>,
+    /// Lanes with a deferred page.
+    pages: u32,
 }
 
 impl ModelExec {
@@ -121,6 +181,7 @@ impl ModelExec {
     ) -> Self {
         assert!(sample_rate > 0, "sample rate must be at least 1");
         let l1_latency = hierarchy.levels[0].hit_latency_cycles;
+        let l1_sets = hierarchy.levels[0].cache.num_sets();
         let l1_line_bytes = hierarchy.l1_line_bytes() as u64;
         let line = l1_line_bytes as f64;
         let fill_cost: Vec<f64> = hierarchy
@@ -157,6 +218,9 @@ impl ModelExec {
             wide_accesses: 0,
             mlp_hint: default_mlp,
             prefetch_hint: 0.0,
+            lanes: Vec::new(),
+            lines_in_set: vec![0; l1_sets],
+            pages: 0,
         }
     }
 
@@ -280,20 +344,27 @@ impl ModelExec {
         if self.sample_rate > 1 && !window.is_multiple_of(self.sample_rate as u64) {
             return;
         }
-        self.simulate(addr, is_store);
+        self.sampled_accesses += 1;
+        self.translate(addr);
+        self.cache(self.route(addr), is_store);
     }
 
-    /// Costs one sampled access through the TLB and the hierarchy.
-    /// Returns whether it hit both the TLB and L1.
+    /// Looks a sampled access's virtual `addr` up in the TLB; returns
+    /// whether it hit.
     #[inline]
-    fn simulate(&mut self, addr: u64, is_store: bool) -> bool {
-        self.sampled_accesses += 1;
-        let tlb_hit = self.tlb.access(addr);
-        if !tlb_hit {
+    fn translate(&mut self, addr: u64) -> bool {
+        let hit = self.tlb.access(addr);
+        if !hit {
             self.sampled_tlb_misses += 1;
             self.sampled_latency += self.tlb_miss_penalty_cycles;
         }
-        let paddr = self.route(addr);
+        hit
+    }
+
+    /// Costs a sampled access to physical `paddr` through the hierarchy;
+    /// returns whether it hit L1.
+    #[inline]
+    fn cache(&mut self, paddr: u64, is_store: bool) -> bool {
         let (lvl, lat) = self.hierarchy.access(paddr);
         // Stores retire through the write buffer on both target cores:
         // they cost issue slots and fill bandwidth but never stall the
@@ -302,25 +373,25 @@ impl ModelExec {
             self.sampled_latency += lat;
         }
         match lvl {
-            mb_mem::hierarchy::HitLevel::Cache(i) if i > 0 => {
+            HitLevel::Cache(i) if i > 0 => {
                 self.sampled_fill_cycles += self.fill_cost[i];
             }
-            mb_mem::hierarchy::HitLevel::Memory => {
+            HitLevel::Memory => {
                 self.sampled_fill_cycles += self.memory_fill_cost;
             }
             _ => {}
         }
         // Every access probes L1 first, so it missed L1 exactly when it
         // was satisfied anywhere else.
-        if lvl != mb_mem::hierarchy::HitLevel::Cache(0) {
+        if lvl != HitLevel::Cache(0) {
             self.sampled_l1_misses += 1;
             self.sampled_l2_accesses += 1;
-            if !matches!(lvl, mb_mem::hierarchy::HitLevel::Cache(1)) {
+            if lvl != HitLevel::Cache(1) {
                 self.sampled_l2_misses += 1;
             }
             return false;
         }
-        tlb_hit
+        true
     }
 
     /// Whether no L1 line straddles a TLB page or a page-table page, so
@@ -335,34 +406,268 @@ impl ModelExec {
                 .is_none_or(|t| t.page_bytes() >= line)
     }
 
-    /// How many iterations from `i` on may be accounted as bulk hits:
-    /// all but the last of the (at most `cap`) iterations that keep
-    /// every stream on the L1 line it touched in iteration `i - 1`.
-    fn bulk_iterations(&self, streams: &[Stream], i: u64, cap: u64) -> u64 {
-        let mask = self.l1_line_bytes - 1;
-        let mut reps = cap;
-        for s in streams.iter().filter(|s| s.stride != 0) {
-            let prev = s.addr(i - 1) & mask;
-            let room = if s.stride > 0 { mask - prev } else { prev };
-            let step = s.stride.unsigned_abs();
-            // Fewer than two iterations stay: nothing to bulk.
-            if room / 2 < step {
-                return 0;
-            }
-            reps = reps.min(room / step);
-        }
-        reps.saturating_sub(1)
+    /// Brings both clocks up to the run's element `p` (exclusive): the
+    /// elements not simulated since are TLB and L1 hits of deferred
+    /// lanes, accounted in bulk. Their stamps are written back later,
+    /// and their load latency when their line settles.
+    #[inline]
+    fn catch_up(&mut self, at: &mut Cursor, p: u64) {
+        self.tlb.repeat_hits(p - at.tlb_at);
+        self.hierarchy.repeat_l1_hits(p - at.l1_at);
+        (at.tlb_at, at.l1_at) = (p, p);
     }
 
-    /// Accounts `accesses` sampled L1 and TLB hits, `loads` of them
-    /// loads, exactly as simulating them would (see
-    /// [`ModelExec::access_run`]'s exactness conditions).
-    fn repeat_hits(&mut self, accesses: u64, loads: u64) {
-        self.access_index += accesses;
-        self.sampled_accesses += accesses;
-        self.sampled_latency += loads * self.l1_latency;
-        self.tlb.repeat_hits(accesses);
-        self.hierarchy.repeat_l1_hits(accesses);
+    /// Writes back the L1 stamp of lane `l`'s latest element before the
+    /// run's element `(i, j)`, with every element before that accounted
+    /// in L1's clock.
+    #[inline]
+    fn line_write_back(&mut self, lane: &Lane, l: usize, j: usize, k: usize) {
+        let clock = self.hierarchy.l1().clock() - pair_age(lane, l, j, k);
+        self.hierarchy.touch_l1_at(lane.slot, clock);
+    }
+
+    /// The TLB half of [`ModelExec::line_write_back`].
+    fn page_write_back(&mut self, lane: &Lane, l: usize, j: usize, k: usize) {
+        let clock = self.tlb.clock() - pair_age(lane, l, j, k);
+        self.tlb.touch_at(lane.entry, clock);
+    }
+
+    /// Ends lane `l`'s line deferral before the run's element `(i, j)`:
+    /// charges its bulk loads, writes back its stamp if the line is still
+    /// `resident` (not evicted), and makes its next element go through
+    /// L1.
+    #[inline]
+    fn settle_line(
+        &mut self,
+        streams: &[Stream],
+        lanes: &mut [Lane],
+        l: usize,
+        (i, j): (u64, usize),
+        resident: bool,
+    ) {
+        let k = streams.len();
+        let lane = lanes[l];
+        if !streams[l].store {
+            self.sampled_latency += (last(l, i, j) - lane.line_from) * self.l1_latency;
+        }
+        if resident {
+            self.line_write_back(&lane, l, j, k);
+        }
+        self.lines_in_set[lane.slot.set] -= 1;
+        let lane = &mut lanes[l];
+        lane.on_line = false;
+        lane.line_next = first(l, i, j);
+        lane.next = lane.line_next.min(lane.page_next);
+    }
+
+    /// Ends lane `l`'s page deferral before the run's element `(i, j)`;
+    /// the TLB counterpart of [`ModelExec::settle_line`].
+    #[inline]
+    fn settle_page(
+        &mut self,
+        streams: &[Stream],
+        lanes: &mut [Lane],
+        l: usize,
+        (i, j): (u64, usize),
+        resident: bool,
+    ) {
+        let lane = lanes[l];
+        if resident {
+            self.page_write_back(&lane, l, j, streams.len());
+        }
+        self.pages -= 1;
+        let lane = &mut lanes[l];
+        lane.on_page = false;
+        lane.page_next = first(l, i, j);
+        lane.next = lane.line_next.min(lane.page_next);
+    }
+
+    /// Looks element `i` of stream `j`, the run's element `p`, up in the
+    /// TLB, with every element before it in the TLB's clock; then defers
+    /// the lane's page if its next elements stay on it.
+    #[inline(never)]
+    fn page_event(&mut self, streams: &[Stream], lanes: &mut [Lane], i: u64, j: usize, bulk: bool) {
+        let k = streams.len();
+        let s = streams[j];
+        let vaddr = s.addr(i);
+        if lanes[j].on_page {
+            self.settle_page(streams, lanes, j, (i, j), true);
+        }
+        // Before a victim search in the fully associative TLB, every
+        // deferred page's stamp must be current: a page touched every
+        // iteration would otherwise look old and be evicted.
+        if self.pages > 0 && self.tlb.is_full() && self.tlb.lookup(vaddr).is_none() {
+            for l in 0..k {
+                if lanes[l].on_page {
+                    self.page_write_back(&lanes[l], l, j, k);
+                }
+            }
+        }
+        let hit = self.translate(vaddr);
+        // A deferred page this miss evicted goes back to simulation.
+        if !hit && self.pages > 0 {
+            for l in 0..k {
+                if lanes[l].on_page && !self.tlb.holds(lanes[l].entry, lanes[l].vaddr) {
+                    self.settle_page(streams, lanes, l, (i, j + 1), false);
+                }
+            }
+        }
+        let stay = if bulk {
+            stay(vaddr, s.stride, self.tlb.config().page_bytes as u64)
+        } else {
+            0
+        };
+        let lane = &mut lanes[j];
+        lane.page_next = (i + 1).saturating_add(stay);
+        // A twin's touch follows this one, so even a last element on the
+        // page leaves a touch pending.
+        if stay > 0 || lane.twin {
+            lane.on_page = true;
+            lane.entry = self.tlb.lookup(vaddr).expect("just looked up");
+            lane.vaddr = vaddr;
+            self.pages += 1;
+        }
+    }
+
+    /// Writes back the stamps of the lines deferred in L1 set `set`
+    /// before a miss there searches it for a victim, with every element
+    /// before `(i, j)` in L1's clock.
+    #[inline(never)]
+    fn guard_set(&mut self, lanes: &[Lane], set: usize, j: usize) {
+        let k = lanes.len();
+        for l in 0..k {
+            if lanes[l].on_line && lanes[l].slot.set == set {
+                self.line_write_back(&lanes[l], l, j, k);
+            }
+        }
+    }
+
+    /// Sends the lanes whose deferred line a miss in `set` evicted, just
+    /// before the run's element `(i, j)`, back to simulation.
+    #[inline(never)]
+    fn evicted_lines(&mut self, streams: &[Stream], lanes: &mut [Lane], set: usize, (i, j): (u64, usize)) {
+        for l in 0..lanes.len() {
+            let lane = lanes[l];
+            if lane.on_line && lane.slot.set == set && !self.hierarchy.l1().holds(lane.slot, lane.paddr) {
+                self.settle_line(streams, lanes, l, (i, j), false);
+            }
+        }
+    }
+
+    /// Costs element `i` of stream `j`, the run's element `p`, through
+    /// the TLB and L1 where its lane has no deferred page or line, then
+    /// defers them where its next elements stay on them.
+    #[inline(always)]
+    fn simulate_lane(
+        &mut self,
+        streams: &[Stream],
+        lanes: &mut [Lane],
+        at: &mut Cursor,
+        (p, i, j): (u64, u64, usize),
+        bulk: bool,
+    ) {
+        if i >= lanes[j].page_next {
+            self.tlb.repeat_hits(p - at.tlb_at);
+            at.tlb_at = p + 1;
+            self.page_event(streams, lanes, i, j, bulk);
+        }
+        if i >= lanes[j].line_next {
+            self.hierarchy.repeat_l1_hits(p - at.l1_at);
+            at.l1_at = p + 1;
+            if lanes[j].on_line {
+                self.settle_line(streams, lanes, j, (i, j), true);
+            }
+            let s = streams[j];
+            let vaddr = s.addr(i);
+            let paddr = self.route(vaddr);
+            // The same for the L1 set this access searches on a miss.
+            let set = self.hierarchy.l1().set_of(paddr);
+            let guarded = self.lines_in_set[set] > 0;
+            if guarded && self.hierarchy.l1().locate(paddr).is_none() {
+                self.guard_set(lanes, set, j);
+            }
+            let hit = self.cache(paddr, s.store);
+            if !hit && guarded {
+                self.evicted_lines(streams, lanes, set, (i, j + 1));
+            }
+            let stay = if bulk {
+                stay(vaddr, s.stride, self.l1_line_bytes)
+            } else {
+                0
+            };
+            let lane = &mut lanes[j];
+            lane.line_next = (i + 1).saturating_add(stay);
+            if stay > 0 || lane.twin {
+                let slot = self.hierarchy.l1().locate(paddr).expect("just accessed");
+                lane.on_line = true;
+                lane.line_from = i;
+                lane.slot = slot;
+                lane.paddr = paddr;
+                self.lines_in_set[slot.set] += 1;
+            }
+        }
+        let lane = &mut lanes[j];
+        lane.next = lane.line_next.min(lane.page_next);
+    }
+
+    /// Costs elements `start..end` of a run, all in one sampled window.
+    fn run_window(&mut self, streams: &[Stream], lanes: &mut [Lane], start: u64, end: u64, bulk: bool) {
+        let k = streams.len();
+        self.access_index += end - start;
+        self.sampled_accesses += end - start;
+        let (mut i, mut j) = (start / k as u64, (start % k as u64) as usize);
+        let mut p = start;
+        // A twin's element whose partner lies before the window is
+        // simulated on its own.
+        if lanes[j].next == u64::MAX {
+            let s = streams[j];
+            self.translate(s.addr(i));
+            self.cache(self.route(s.addr(i)), s.store);
+            self.twin_loads(streams, lanes, start + 1, end);
+            (p, j) = (p + 1, j + 1);
+            if j == k {
+                (i, j) = (i + 1, 0);
+            }
+        } else {
+            self.twin_loads(streams, lanes, start, end);
+        }
+        let mut at = Cursor { tlb_at: p, l1_at: p };
+        while p < end {
+            if i >= lanes[j].next {
+                self.simulate_lane(streams, lanes, &mut at, (p, i, j), bulk);
+            }
+            p += 1;
+            j += 1;
+            if j == k {
+                j = 0;
+                i += 1;
+            }
+        }
+        self.catch_up(&mut at, end);
+        for l in 0..k {
+            if lanes[l].on_line {
+                self.settle_line(streams, lanes, l, (i, j), true);
+            }
+            if lanes[l].on_page {
+                self.settle_page(streams, lanes, l, (i, j), true);
+            }
+            let is_twin = lanes[l].next == u64::MAX;
+            lanes[l] = Lane::fresh(lanes[l].twin, is_twin);
+        }
+    }
+
+    /// Charges the L1 latency of the twin load elements among the run's
+    /// elements `start..end`, all accounted as bulk hits.
+    fn twin_loads(&mut self, streams: &[Stream], lanes: &[Lane], start: u64, end: u64) {
+        let k = streams.len() as u64;
+        for (l, s) in streams.iter().enumerate() {
+            if lanes[l].next == u64::MAX && !s.store {
+                // The lane's elements `l + m·k` before `x` number
+                // `⌈(x − l) / k⌉`.
+                let before = |x: u64| x.saturating_sub(l as u64).div_ceil(k);
+                self.sampled_latency += (before(end) - before(start)) * self.l1_latency;
+            }
+        }
     }
 
     /// Scale factor from sampled events to estimated totals.
@@ -480,6 +785,65 @@ impl ModelExec {
     }
 }
 
+/// How many more elements of a stream with `stride`, at `addr` now,
+/// stay in the same aligned `block` (a line or a page).
+fn stay(addr: u64, stride: i64, block: u64) -> u64 {
+    let step = stride.unsigned_abs();
+    if step >= block {
+        return 0;
+    }
+    if step == 0 {
+        return u64::MAX;
+    }
+    let offset = addr & (block - 1);
+    let room = if stride > 0 { block - 1 - offset } else { offset };
+    // Power-of-two strides (every kernel's) shift; `room < block` fits
+    // 32 bits, whose division is the cheaper one.
+    if step.is_power_of_two() {
+        room >> step.trailing_zeros()
+    } else {
+        u64::from(room as u32 / step as u32)
+    }
+}
+
+/// Iteration of lane `l`'s last element before the run's element
+/// `(i, j)` (with `j` up to the lane count). The lane has an element
+/// before it.
+fn last(l: usize, i: u64, j: usize) -> u64 {
+    if l < j {
+        i
+    } else {
+        i - 1
+    }
+}
+
+/// Iteration of lane `l`'s first element from the run's element `(i, j)`
+/// on.
+fn first(l: usize, i: u64, j: usize) -> u64 {
+    if l < j {
+        i + 1
+    } else {
+        i
+    }
+}
+
+/// [`age`] of the latest touch of `lane`'s line or page: its own, or
+/// its twin's when that came later.
+fn pair_age(lane: &Lane, l: usize, j: usize, k: usize) -> u64 {
+    let own = age(l, j, k);
+    if lane.twin {
+        own.min(age(l + 1, j, k))
+    } else {
+        own
+    }
+}
+
+/// How many elements of a run of `k` lanes come after lane `l`'s last
+/// element before element `(i, j)` and before `(i, j)` itself.
+fn age(l: usize, j: usize, k: usize) -> u64 {
+    (if l < j { j - 1 - l } else { k + j - 1 - l }) as u64
+}
+
 impl Exec for ModelExec {
     fn flop(&mut self, kind: FlopKind, prec: Precision, lanes: u32) {
         #[cfg(feature = "validate")]
@@ -547,20 +911,26 @@ impl Exec for ModelExec {
         }
     }
 
-    /// Costs the run exactly as its per-element expansion, with two
-    /// shortcuts that leave every counter, LRU stamp, MRU way, PLRU bit
-    /// and TLB hint where the expansion leaves them:
+    /// Costs the run exactly as its per-element expansion: every
+    /// counter, LRU stamp, MRU way, PLRU bit and TLB hint ends where the
+    /// expansion leaves it. Two shortcuts make that cheap:
     ///
     /// * elements in skipped sampling windows only advance the access
     ///   index, so a skipped span costs O(1);
-    /// * inside a simulated window, once an iteration has hit L1 and the
-    ///   TLB on all `k` streams (for `k = 1`, once it was simulated at
-    ///   all), the following iterations that keep every stream on the
-    ///   line it just touched must hit too, as hits evict nothing. All
-    ///   but the last of them are accounted as bulk hits; the last is
-    ///   simulated, re-touching every line and page the skipped ones
-    ///   touched, in the same order. This needs lines no larger than
-    ///   TLB and page-table pages, and is off otherwise.
+    /// * inside a simulated window, each stream is a lane. A lane's
+    ///   first element on an L1 line is simulated, and so is every
+    ///   element of a stream striding a line or more. Its later elements
+    ///   on that line must hit L1 and the TLB, as long as the line and
+    ///   its page stay resident, and are accounted in bulk. The stamps,
+    ///   MRU ways and TLB hints they would have written are written back
+    ///   at their known clock ticks when the lane leaves the line, when
+    ///   the window ends, and before any simulated access that could
+    ///   search the lane's L1 set or the TLB for a victim. A simulated
+    ///   miss that evicts a deferred line or page sends its lane back to
+    ///   simulation.
+    ///
+    /// Bulk accounting needs an LRU L1 and lines no larger than TLB and
+    /// page-table pages; otherwise every sampled element is simulated.
     fn access_run(&mut self, streams: &[Stream], n: u64) {
         #[cfg(feature = "validate")]
         for s in streams {
@@ -577,18 +947,26 @@ impl Exec for ModelExec {
         }
         self.counts.add_run(streams, n);
         self.wide_accesses += n * streams.iter().filter(|s| s.bytes >= 16).count() as u64;
-        let loads = streams.iter().filter(|s| !s.store).count() as u64;
-        // A stream striding a whole line or more never stays on one.
-        let bulk = self.lines_within_pages()
-            && streams
-                .iter()
-                .all(|s| s.stride.unsigned_abs() < self.l1_line_bytes);
+        let bulk = self.hierarchy.l1().config().replacement == Replacement::Lru
+            && self.lines_within_pages();
+        let mut lanes = std::mem::take(&mut self.lanes);
+        // Pair each stream with an identical successor; a twin is not
+        // paired again.
+        let mut j = 0;
+        while j < streams.len() {
+            let (a, b) = (streams[j], streams.get(j + 1));
+            let paired = bulk && b.is_some_and(|b| a.base == b.base && a.stride == b.stride);
+            lanes.push(Lane::fresh(paired, false));
+            if paired {
+                lanes.push(Lane::fresh(false, true));
+                j += 1;
+            }
+            j += 1;
+        }
         let rate = u64::from(self.sample_rate);
         let total = n * k;
-        // Elements of this run reported so far, and how many simulated
-        // elements in a row, ending at `done`, qualify the next
-        // iteration for bulk accounting.
-        let (mut done, mut streak) = (0u64, 0u64);
+        // Elements of this run reported so far.
+        let mut done = 0u64;
         while done < total {
             let pos = self.access_index;
             let window = pos / SAMPLE_WINDOW;
@@ -597,7 +975,6 @@ impl Exec for ModelExec {
                 let skip = (next - pos).min(total - done);
                 self.access_index += skip;
                 done += skip;
-                streak = 0;
                 continue;
             }
             let end = if rate > 1 {
@@ -605,26 +982,11 @@ impl Exec for ModelExec {
             } else {
                 total
             };
-            let (mut i, mut j) = (done / k, (done % k) as usize);
-            while done < end {
-                if j == 0 && bulk && streak >= k {
-                    let m = self.bulk_iterations(streams, i, (end - done) / k);
-                    self.repeat_hits(m * k, m * loads);
-                    i += m;
-                    done += m * k;
-                }
-                let s = &streams[j];
-                self.access_index += 1;
-                let clean = self.simulate(s.addr(i), s.store);
-                streak = if clean || k == 1 { streak + 1 } else { 0 };
-                done += 1;
-                j += 1;
-                if j == streams.len() {
-                    j = 0;
-                    i += 1;
-                }
-            }
+            self.run_window(streams, &mut lanes, done, end, bulk);
+            done = end;
         }
+        lanes.clear();
+        self.lanes = lanes;
     }
 }
 
@@ -664,12 +1026,8 @@ mod tests {
             e.finish().cycles.get()
         };
         let run_scalar = |mut e: ModelExec| {
-            let mut cycles = 0;
-            for _ in 0..4 {
-                cycles += 0;
-            }
             fma_loop(&mut e, 40_000, 1);
-            cycles + e.finish().cycles.get()
+            e.finish().cycles.get()
         };
         // Vectorised f64 on Snowball ≈ scalar (no DP SIMD).
         let mut v = ModelExec::snowball();

@@ -113,6 +113,17 @@ fn page_table(rng: &mut Xoshiro256) -> PageTable {
 }
 
 fn stream(rng: &mut Xoshiro256, previous: &[Stream]) -> Stream {
+    // A twin: the previous stream's addresses, as daxpy's load and
+    // store of one row.
+    if let Some(&last) = previous.last() {
+        if rng.gen_range(6) == 0 {
+            return Stream {
+                bytes: 1 + rng.gen_range(16) as u32,
+                store: rng.gen_bool(0.5),
+                ..last
+            };
+        }
+    }
     let base = match rng.gen_range(4) {
         // Share the line of an earlier stream.
         0 if !previous.is_empty() => {
@@ -316,6 +327,179 @@ fn targeted_runs_match_per_element_expansion() {
         fast.access_run(&streams, n);
         slow.access_run(&streams, n);
         let context = format!("preset {preset}, rate {rate}, {streams:?} × {n}");
+        assert_same(&fast.finish(), &slow.0.finish(), &context);
+        assert_eq!(format!("{fast:?}"), format!("{:?}", slow.0), "{context}");
+    }
+}
+
+/// A sink with a 512 B L1 of 32 B lines, `ways`-way under `policy`, and
+/// a 4-entry TLB of 4 KiB pages.
+fn mixed_sink(ways: usize, policy: Replacement, rate: u32) -> ModelExec {
+    ModelExec::new(
+        CoreModel::cortex_a9_snowball(),
+        small_hierarchy(ways, policy),
+        TlbConfig::new(4, 4096),
+        40,
+        rate,
+    )
+}
+
+/// A mixed run aliasing one L1 set: `resident` streams that stay on a
+/// line for 2 or 4 elements, and `crossing` streams that leave their
+/// line every element, for `r = resident + crossing` distinct lines in
+/// the set per iteration. Crossing streams either walk the set itself
+/// (a new tag each time, so every element misses and evicts), walk
+/// lines, or walk pages.
+fn mixed_streams(rng: &mut Xoshiro256, ways: usize, resident: usize, crossing: usize) -> Vec<Stream> {
+    let span = 512 / ways as u64; // bytes between lines of one set
+    let set = rng.gen_range(span / L1_LINE) * L1_LINE;
+    let mut tags: Vec<u64> = (1..40).collect();
+    for t in (1..tags.len()).rev() {
+        tags.swap(t, rng.gen_range(t as u64 + 1) as usize);
+    }
+    let mut streams = Vec::new();
+    for (n, &tag) in tags.iter().take(resident + crossing).enumerate() {
+        let base = set + tag * span;
+        let s = if n < resident {
+            // 8 B steps: 4 per line; 16 B steps: 2 per line.
+            let step = pick(rng, &[8i64, 16, -8, -16]);
+            let base = if step < 0 { base + L1_LINE - 1 } else { base };
+            Stream {
+                base,
+                stride: step,
+                bytes: 8,
+                store: rng.gen_bool(0.3),
+            }
+        } else {
+            let stride = pick(rng, &[span as i64, L1_LINE as i64, 4096 + 32, 3 * 4096]);
+            Stream {
+                base,
+                stride,
+                bytes: 8,
+                store: rng.gen_bool(0.5),
+            }
+        };
+        if rng.gen_range(4) == 0 {
+            // Its twin too: the same addresses, one element later.
+            streams.push(s);
+        }
+        streams.push(s);
+    }
+    // Interleave crossing and resident streams in a random order.
+    for t in (1..streams.len()).rev() {
+        streams.swap(t, rng.gen_range(t as u64 + 1) as usize);
+    }
+    streams
+}
+
+fn check_mixed(ways: usize, policy: Replacement, rate: u32, seed: u64) {
+    let mut rng = Xoshiro256::seed_from(seed);
+    let mut fast = mixed_sink(ways, policy, rate);
+    let mut slow = PerElement(fast.clone());
+    for step in 0..4 {
+        // r = associativity or associativity + 1 lines in the set.
+        let r = ways + rng.gen_range(2) as usize;
+        let crossing = 1 + rng.gen_range(r.min(2) as u64) as usize;
+        let streams = mixed_streams(&mut rng, ways, r - crossing.min(r), crossing.min(r));
+        let n = pick(&mut rng, &[5u64, 40, 300, 1500]);
+        fast.access_run(&streams, n);
+        slow.access_run(&streams, n);
+        let context =
+            format!("{ways}-way {policy:?}, rate {rate}, seed {seed:#x}, step {step}: {streams:?} × {n}");
+        assert_same(&fast.finish(), &slow.0.finish(), &context);
+        assert_eq!(format!("{fast:?}"), format!("{:?}", slow.0), "sink state, {context}");
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(120))]
+
+    /// Crossing and resident streams aliasing one set, with as many
+    /// lines in the set per iteration as it has ways, and one more.
+    #[test]
+    fn mixed_runs_match_per_element_expansion(
+        ways_index in 0usize..3,
+        policy_index in 0usize..3,
+        rate_index in 0usize..3,
+        seed in any::<u64>(),
+    ) {
+        let policy = [Replacement::Lru, Replacement::PseudoLru, Replacement::Random][policy_index];
+        check_mixed([1, 2, 4][ways_index], policy, [1, 2, 7][rate_index], seed);
+    }
+}
+
+/// Mixed shapes pinned explicitly on the 4-way LRU sink: a resident
+/// pair re-hit while a crossing stream misses in its set (r = ways and
+/// r = ways + 1), a crossing miss evicting a deferred line, daxpy's
+/// twin pair at 2 elements per line, and a crossing stream walking more
+/// pages than the TLB has entries.
+#[test]
+fn targeted_mixed_runs_match_per_element_expansion() {
+    let span = 128; // 4-way 512 B L1: lines 128 B apart share a set
+    let cases: Vec<(u32, Vec<Stream>, u64)> = vec![
+        // r = 4: three resident lines and a crossing stream in one set.
+        (
+            1,
+            vec![
+                Stream::load(0, 8, 8),
+                Stream::load(span, 8, 8),
+                Stream::store(2 * span, 8, 8),
+                Stream::load(3 * span, span as i64, 8),
+            ],
+            400,
+        ),
+        // r = 5: the crossing miss evicts a deferred line every time.
+        (
+            1,
+            vec![
+                Stream::load(0, 8, 8),
+                Stream::load(span, 16, 8),
+                Stream::load(2 * span, 8, 8),
+                Stream::load(3 * span, -8, 8),
+                Stream::store(4 * span, span as i64, 8),
+            ],
+            400,
+        ),
+        // daxpy: a pivot row against a row loaded and stored in place.
+        (
+            1,
+            vec![
+                Stream::load(4096, 16, 16),
+                Stream::load(0, 16, 16),
+                Stream::store(0, 16, 16),
+            ],
+            500,
+        ),
+        // The same, sampled, so windows cut between the twins.
+        (
+            7,
+            vec![
+                Stream::load(4096, 16, 16),
+                Stream::load(0, 16, 16),
+                Stream::store(0, 16, 16),
+            ],
+            3000,
+        ),
+        // Resident streams while a crossing stream walks 12 pages
+        // through a 4-entry TLB.
+        (
+            1,
+            vec![
+                Stream::load(0, 8, 8),
+                Stream::load(20_000, 4096 + 32, 8),
+                Stream::store(span, 8, 8),
+            ],
+            300,
+        ),
+    ];
+    for (rate, streams, n) in cases {
+        let mut fast = mixed_sink(4, Replacement::Lru, rate);
+        let mut slow = PerElement(fast.clone());
+        fast.load(7, 4);
+        slow.load(7, 4);
+        fast.access_run(&streams, n);
+        slow.access_run(&streams, n);
+        let context = format!("rate {rate}, {streams:?} × {n}");
         assert_same(&fast.finish(), &slow.0.finish(), &context);
         assert_eq!(format!("{fast:?}"), format!("{:?}", slow.0), "{context}");
     }

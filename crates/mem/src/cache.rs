@@ -141,6 +141,15 @@ impl AccessResult {
     }
 }
 
+/// Where a resident line sits in a [`Cache`]: its set and its way.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Slot {
+    /// Set index.
+    pub set: usize,
+    /// Way within the set.
+    pub way: usize,
+}
+
 /// A set-associative cache.
 ///
 /// Addresses are byte addresses; the cache extracts set index and tag
@@ -288,14 +297,64 @@ impl Cache {
     /// touching them: the clock and the hit counters advance exactly as
     /// `n` hitting [`Cache::access`] calls would advance them.
     ///
-    /// Exact only when every line those `n` accesses would have hit is
-    /// accessed again, in the same order, right afterwards: the later
-    /// touches then overwrite every stamp, MRU way and pseudo-LRU bit
-    /// the skipped ones would have written.
+    /// The stamps and MRU ways those hits would have written are left
+    /// stale. Under [`Replacement::Lru`] the caller writes them back
+    /// with [`Cache::touch_at`] before any miss in their set can search
+    /// for a victim, and before the state is read.
+    #[inline]
     pub fn repeat_hits(&mut self, n: u64) {
         self.clock += n;
         self.stats.accesses += n;
         self.stats.hits += n;
+    }
+
+    /// The LRU clock: the number of accesses since the last reset.
+    #[inline]
+    pub fn clock(&self) -> u64 {
+        self.clock
+    }
+
+    /// The set `addr` maps to.
+    #[inline]
+    pub fn set_of(&self, addr: u64) -> usize {
+        self.set_and_tag(addr).0
+    }
+
+    /// Where the line containing `addr` sits, if it is resident.
+    #[inline]
+    pub fn locate(&self, addr: u64) -> Option<Slot> {
+        let (set, tag) = self.set_and_tag(addr);
+        self.find(set, tag).map(|way| Slot { set, way })
+    }
+
+    /// Whether `slot` still holds the line containing `addr`.
+    #[inline]
+    pub fn holds(&self, slot: Slot, addr: u64) -> bool {
+        let (set, tag) = self.set_and_tag(addr);
+        set == slot.set
+            && self.valid[set] >> slot.way & 1 != 0
+            && self.tags[set * self.cfg.associativity + slot.way] == tag
+    }
+
+    /// Records a hit on the line in `slot` at the earlier tick `clock`
+    /// (one accounted by [`Cache::repeat_hits`]), writing the LRU stamp
+    /// and MRU way that hit would have left, unless a later access to
+    /// the set has already written them.
+    ///
+    /// Exact under [`Replacement::Lru`] when the line has been resident
+    /// since `clock` and no victim search in its set ran in between.
+    /// (The MRU way of a set is always the valid way with the highest
+    /// stamp, so comparing stamps decides which touch came last.)
+    #[inline]
+    pub fn touch_at(&mut self, slot: Slot, clock: u64) {
+        let base = slot.set * self.cfg.associativity;
+        if clock > self.stamps[base + slot.way] {
+            self.stamps[base + slot.way] = clock;
+        }
+        if clock > self.stamps[base + self.mru[slot.set] as usize] {
+            // `way < MAX_WAYS`, which fits a byte.
+            self.mru[slot.set] = slot.way as u8;
+        }
     }
 
     /// The miss path of [`Cache::access`], kept out of line so the hit

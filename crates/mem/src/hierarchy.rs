@@ -13,7 +13,7 @@
 //! * [`HierarchyConfig::snowball_a9500`] — 32 KB L1 / 512 KB shared L2;
 //! * [`HierarchyConfig::tegra2`] — 32 KB L1 / 1 MB shared L2.
 
-use crate::cache::{Cache, CacheConfig, CacheStats, Replacement};
+use crate::cache::{Cache, CacheConfig, CacheStats, Replacement, Slot};
 
 /// One level of the hierarchy: geometry plus hit latency in cycles.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -195,13 +195,28 @@ impl Hierarchy {
     }
 
     /// Accounts `n` accesses that hit lines already resident in L1 (see
-    /// [`Cache::repeat_hits`], whose exactness condition applies): each
-    /// is charged the L1 latency, and no outer level is probed.
+    /// [`Cache::repeat_hits`], whose write-back duty applies): each is
+    /// charged the L1 latency, and no outer level is probed.
+    #[inline]
     pub fn repeat_l1_hits(&mut self, n: u64) {
         let (l1, latency) = &mut self.levels[0];
         l1.repeat_hits(n);
         self.accesses += n;
         self.total_cycles += n * *latency;
+    }
+
+    /// The L1 cache, for residency queries.
+    #[inline]
+    pub fn l1(&self) -> &Cache {
+        &self.levels[0].0
+    }
+
+    /// Writes back an L1 hit accounted by [`Hierarchy::repeat_l1_hits`]
+    /// (see [`Cache::touch_at`]). An L1 hit probes no outer level, so
+    /// L1 is the only level with state to write.
+    #[inline]
+    pub fn touch_l1_at(&mut self, slot: Slot, clock: u64) {
+        self.levels[0].0.touch_at(slot, clock);
     }
 
     /// Statistics of cache level `i` (0 = L1).

@@ -96,15 +96,7 @@ impl Tlb {
         self.clock += 1;
         let vpn = vaddr >> self.page_shift;
         let slot = vpn as usize % HINT_SLOTS;
-        let hinted = self.hint[slot];
-        let found = if self.vpns.get(self.mru) == Some(&vpn) {
-            Some(self.mru)
-        } else if self.vpns.get(hinted) == Some(&vpn) {
-            Some(hinted)
-        } else {
-            self.vpns.iter().position(|&v| v == vpn)
-        };
-        if let Some(i) = found {
+        if let Some(i) = self.find(vpn, slot) {
             self.stamps[i] = self.clock;
             self.hits += 1;
             self.remember(slot, i);
@@ -131,17 +123,86 @@ impl Tlb {
         false
     }
 
+    /// The entry holding page `vpn` (whose hint slot is `slot`): the
+    /// MRU entry, then the hinted one, then a scan.
+    #[inline(always)]
+    fn find(&self, vpn: u64, slot: usize) -> Option<usize> {
+        let hinted = self.hint[slot];
+        if self.vpns.get(self.mru) == Some(&vpn) {
+            Some(self.mru)
+        } else if self.vpns.get(hinted) == Some(&vpn) {
+            Some(hinted)
+        } else {
+            self.vpns.iter().position(|&v| v == vpn)
+        }
+    }
+
     /// Accounts `n` lookups that hit pages already resident, without
     /// touching their entries: the clock and the hit counter advance
     /// exactly as `n` hitting [`Tlb::access`] calls would advance them.
     ///
-    /// Exact only when every page those `n` lookups would have hit is
-    /// looked up again, in the same order, right afterwards: the later
-    /// lookups then overwrite every stamp, MRU entry and hint the
-    /// skipped ones would have written.
+    /// The stamps, MRU entry and hints those hits would have written are
+    /// left stale; the caller writes them back with [`Tlb::touch_at`]
+    /// before any miss can search for a victim, and before the state is
+    /// read.
+    #[inline]
     pub fn repeat_hits(&mut self, n: u64) {
         self.clock += n;
         self.hits += n;
+    }
+
+    /// The LRU clock: the number of lookups since the last reset.
+    #[inline]
+    pub fn clock(&self) -> u64 {
+        self.clock
+    }
+
+    /// Whether every entry is in use, so that a miss evicts one.
+    #[inline]
+    pub fn is_full(&self) -> bool {
+        self.vpns.len() == self.cfg.entries
+    }
+
+    /// The entry holding the page of `vaddr`, if it is resident.
+    #[inline]
+    pub fn lookup(&self, vaddr: u64) -> Option<usize> {
+        let vpn = vaddr >> self.page_shift;
+        self.find(vpn, vpn as usize % HINT_SLOTS)
+    }
+
+    /// Whether `entry` still holds the page of `vaddr`.
+    #[inline]
+    pub fn holds(&self, entry: usize, vaddr: u64) -> bool {
+        self.vpns.get(entry) == Some(&(vaddr >> self.page_shift))
+    }
+
+    /// Records a hit on `entry` at the earlier tick `clock` (one
+    /// accounted by [`Tlb::repeat_hits`]), writing the LRU stamp, MRU
+    /// entry and hint that hit would have left, unless a later lookup
+    /// has already written them.
+    ///
+    /// Exact when no miss happened since `clock`. Then no entry changed
+    /// page since, so every later lookup of a page in the same hint slot
+    /// wrote that slot and stamped its entry past `clock`, and the MRU
+    /// entry is the one with the highest stamp. A hint naming an entry
+    /// whose page is in another slot was written before the last miss.
+    #[inline]
+    pub fn touch_at(&mut self, entry: usize, clock: u64) {
+        if clock > self.stamps[entry] {
+            self.stamps[entry] = clock;
+        }
+        if clock > self.stamps[self.mru] {
+            self.mru = entry;
+        }
+        let slot = self.vpns[entry] as usize % HINT_SLOTS;
+        let hinted = self.hint[slot];
+        let current = self
+            .vpns
+            .get(hinted)
+            .is_some_and(|&v| v as usize % HINT_SLOTS == slot);
+        if !current || clock > self.stamps[hinted] {
+            self.hint[slot] = entry;
+        }
     }
 
     fn remember(&mut self, slot: usize, entry: usize) {
