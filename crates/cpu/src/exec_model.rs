@@ -497,9 +497,9 @@ impl ModelExec {
         // deferred page's stamp must be current: a page touched every
         // iteration would otherwise look old and be evicted.
         if self.pages > 0 && self.tlb.is_full() && self.tlb.lookup(vaddr).is_none() {
-            for l in 0..k {
-                if lanes[l].on_page {
-                    self.page_write_back(&lanes[l], l, j, k);
+            for (l, lane) in lanes.iter().enumerate() {
+                if lane.on_page {
+                    self.page_write_back(lane, l, j, k);
                 }
             }
         }
@@ -535,9 +535,9 @@ impl ModelExec {
     #[inline(never)]
     fn guard_set(&mut self, lanes: &[Lane], set: usize, j: usize) {
         let k = lanes.len();
-        for l in 0..k {
-            if lanes[l].on_line && lanes[l].slot.set == set {
-                self.line_write_back(&lanes[l], l, j, k);
+        for (l, lane) in lanes.iter().enumerate() {
+            if lane.on_line && lane.slot.set == set {
+                self.line_write_back(lane, l, j, k);
             }
         }
     }

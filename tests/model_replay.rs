@@ -6,8 +6,9 @@
 //! writes their cache and TLB state back later; the replay simulates
 //! every access. Any shortcut that changed a hit, a miss or a victim
 //! would change a count here. The inputs are the Figure 7 quick grid at
-//! unrolls 1, 6 and 12 on Nehalem and Tegra2, and unblocked `dgefa`
-//! LINPACK on the Snowball, all at sample rate 1; the totals are pinned.
+//! unrolls 1, 6 and 12 on Nehalem and Tegra2, one paper-grid variant on
+//! Tegra2, and unblocked `dgefa` LINPACK on the Snowball, all at sample
+//! rate 1; the totals are pinned.
 
 use mb_cpu::counters::Counter;
 use mb_cpu::exec_model::ModelExec;
@@ -104,7 +105,7 @@ fn dgefa(platform: &Platform, n: usize) -> ([u64; 5], [u64; 5]) {
 
 /// Totals over all inputs of `[L1 accesses, L1 misses, L2 accesses,
 /// L2 misses, TLB misses]`.
-const TOTALS: [u64; 5] = [1_219_464, 55_840, 55_840, 6_192, 60];
+const TOTALS: [u64; 5] = [1_924_488, 263_200, 263_200, 13_104, 2_102];
 
 #[test]
 fn model_counts_equal_a_per_element_replay() {
@@ -117,6 +118,11 @@ fn model_counts_equal_a_per_element_replay() {
             runs.push((label, fig7_variant(&platform, &grid, unroll)));
         }
     }
+    // The paper grid's 110 KB buffers overflow Tegra2's 32 KB L1, so
+    // misses there evict lines other streams are still re-hitting.
+    let e = Fig7Config::paper().grid_edge;
+    let paper = Grid3::random(e, e, e, 0xF167);
+    runs.push(("fig7 paper grid Tegra2 u4".into(), fig7_variant(&Platform::tegra2_node(), &paper, 4)));
     runs.push(("dgefa n=96 Snowball".into(), dgefa(&Platform::snowball(), 96)));
     let mut totals = [0u64; 5];
     for (label, (model, replay)) in &runs {
