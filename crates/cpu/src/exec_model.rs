@@ -71,18 +71,20 @@ struct Lane {
     vaddr: u64,
     /// Whether the next lane is this one's twin: a stream at the same
     /// addresses, whose every element re-touches the line and page this
-    /// lane's element just touched. The twin is never simulated (but
-    /// for a window's first element); its touches are this lane's.
+    /// lane's element just touched. Pending touches are the pair's.
     twin: bool,
+    /// Whether this lane is the previous one's twin, never simulated
+    /// but for a window's first element.
+    shadow: bool,
 }
 
 impl Lane {
-    /// A lane at a window's start, keeping the run's twin pairing; a
-    /// twin of the previous lane never needs simulating.
-    fn fresh(twin: bool, is_twin: bool) -> Lane {
+    /// A lane at a window's start, with the run's twin pairing.
+    fn fresh(twin: bool, shadow: bool) -> Lane {
         Lane {
             twin,
-            next: if is_twin { u64::MAX } else { 0 },
+            shadow,
+            next: if shadow { u64::MAX } else { 0 },
             ..Lane::default()
         }
     }
@@ -619,7 +621,7 @@ impl ModelExec {
         let mut p = start;
         // A twin's element whose partner lies before the window is
         // simulated on its own.
-        if lanes[j].next == u64::MAX {
+        if lanes[j].shadow {
             let s = streams[j];
             self.translate(s.addr(i));
             self.cache(self.route(s.addr(i)), s.store);
@@ -651,8 +653,7 @@ impl ModelExec {
             if lanes[l].on_page {
                 self.settle_page(streams, lanes, l, (i, j), true);
             }
-            let is_twin = lanes[l].next == u64::MAX;
-            lanes[l] = Lane::fresh(lanes[l].twin, is_twin);
+            lanes[l] = Lane::fresh(lanes[l].twin, lanes[l].shadow);
         }
     }
 
@@ -661,7 +662,7 @@ impl ModelExec {
     fn twin_loads(&mut self, streams: &[Stream], lanes: &[Lane], start: u64, end: u64) {
         let k = streams.len() as u64;
         for (l, s) in streams.iter().enumerate() {
-            if lanes[l].next == u64::MAX && !s.store {
+            if lanes[l].shadow && !s.store {
                 // The lane's elements `l + m·k` before `x` number
                 // `⌈(x − l) / k⌉`.
                 let before = |x: u64| x.saturating_sub(l as u64).div_ceil(k);
@@ -918,19 +919,21 @@ impl Exec for ModelExec {
     /// * elements in skipped sampling windows only advance the access
     ///   index, so a skipped span costs O(1);
     /// * inside a simulated window, each stream is a lane. A lane's
-    ///   first element on an L1 line is simulated, and so is every
-    ///   element of a stream striding a line or more. Its later elements
-    ///   on that line must hit L1 and the TLB, as long as the line and
-    ///   its page stay resident, and are accounted in bulk. The stamps,
-    ///   MRU ways and TLB hints they would have written are written back
-    ///   at their known clock ticks when the lane leaves the line, when
-    ///   the window ends, and before any simulated access that could
-    ///   search the lane's L1 set or the TLB for a victim. A simulated
-    ///   miss that evicts a deferred line or page sends its lane back to
-    ///   simulation.
+    ///   first element on an L1 line goes through the hierarchy, and its
+    ///   first on a TLB page through the TLB, as does every element of a
+    ///   stream striding a line (a page) or more. Its later elements on
+    ///   that line and page must hit while they stay resident, and are
+    ///   accounted in bulk; a stream at the same addresses as the one
+    ///   before it is that lane's twin and always hits. The stamps, MRU
+    ///   ways and TLB hints the bulk hits would have written are written
+    ///   back at their known clock ticks when the lane moves on, when
+    ///   the window ends, and before a simulated miss could search the
+    ///   lane's L1 set or the TLB for a victim. A miss that evicts a
+    ///   deferred line or page sends its lane back to simulation.
     ///
     /// Bulk accounting needs an LRU L1 and lines no larger than TLB and
     /// page-table pages; otherwise every sampled element is simulated.
+    /// DESIGN.md §4 ("Model hot path") gives the exactness argument.
     fn access_run(&mut self, streams: &[Stream], n: u64) {
         #[cfg(feature = "validate")]
         for s in streams {

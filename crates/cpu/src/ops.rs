@@ -161,7 +161,9 @@ pub trait Exec {
     /// sink exactly as this default body does, which issues
     /// `load`/`store(s.addr(i), s.bytes)` for `i` in `0..n` and, inside
     /// each `i`, for every `s` in `streams`. Sinks may override it with a
-    /// closed form or a fast path only if the result is bit-identical.
+    /// closed form or a fast path only if the result is bit-identical:
+    /// [`crate::exec_model::ModelExec`] simulates only each stream's first
+    /// element on a cache line or page and accounts its re-hits in bulk.
     /// Kernels report the loop's flops, integer ops and branches with
     /// separate calls; costing sinks keep those apart from memory, so
     /// only the order of the memory accesses among themselves matters.
