@@ -4,8 +4,8 @@
 //! green run under `--features validate` *proves* the sanitizer build is
 //! bit-identical to the unvalidated build — the ISSUE's acceptance gate.
 
-use mb_faults::FaultConfig;
 use mb_cpu::gpu::GpuModel;
+use mb_faults::FaultConfig;
 use montblanc::{ablation, fig3, fig4, fig5, fig6, fig7, sec5a, sec6, table2};
 
 /// Folds a stream of `f64`s into one order-sensitive 64-bit digest.

@@ -91,7 +91,11 @@ impl Lane {
 }
 
 /// Where a run's accounting stands: elements before `tlb_at` are in
-/// the TLB's clock, elements before `l1_at` in L1's.
+/// the TLB's clock, elements before `l1_at` in L1's. The elements not
+/// simulated in between are hits of deferred lanes, accounted in bulk
+/// (`Tlb::repeat_hits`, `Hierarchy::repeat_l1_hits`) just before the
+/// next simulated access; their stamps are written back later, and
+/// their load latency is charged when their line settles.
 struct Cursor {
     tlb_at: u64,
     l1_at: u64,
@@ -408,17 +412,6 @@ impl ModelExec {
                 .is_none_or(|t| t.page_bytes() >= line)
     }
 
-    /// Brings both clocks up to the run's element `p` (exclusive): the
-    /// elements not simulated since are TLB and L1 hits of deferred
-    /// lanes, accounted in bulk. Their stamps are written back later,
-    /// and their load latency when their line settles.
-    #[inline]
-    fn catch_up(&mut self, at: &mut Cursor, p: u64) {
-        self.tlb.repeat_hits(p - at.tlb_at);
-        self.hierarchy.repeat_l1_hits(p - at.l1_at);
-        (at.tlb_at, at.l1_at) = (p, p);
-    }
-
     /// Writes back the L1 stamp of lane `l`'s latest element before the
     /// run's element `(i, j)`, with every element before that accounted
     /// in L1's clock.
@@ -498,7 +491,7 @@ impl ModelExec {
         // Before a victim search in the fully associative TLB, every
         // deferred page's stamp must be current: a page touched every
         // iteration would otherwise look old and be evicted.
-        if self.pages > 0 && self.tlb.is_full() && self.tlb.lookup(vaddr).is_none() {
+        if self.pages > 0 && self.tlb.lookup(vaddr).is_none() {
             for (l, lane) in lanes.iter().enumerate() {
                 if lane.on_page {
                     self.page_write_back(lane, l, j, k);
@@ -547,10 +540,19 @@ impl ModelExec {
     /// Sends the lanes whose deferred line a miss in `set` evicted, just
     /// before the run's element `(i, j)`, back to simulation.
     #[inline(never)]
-    fn evicted_lines(&mut self, streams: &[Stream], lanes: &mut [Lane], set: usize, (i, j): (u64, usize)) {
+    fn evicted_lines(
+        &mut self,
+        streams: &[Stream],
+        lanes: &mut [Lane],
+        set: usize,
+        (i, j): (u64, usize),
+    ) {
         for l in 0..lanes.len() {
             let lane = lanes[l];
-            if lane.on_line && lane.slot.set == set && !self.hierarchy.l1().holds(lane.slot, lane.paddr) {
+            if lane.on_line
+                && lane.slot.set == set
+                && !self.hierarchy.l1().holds(lane.slot, lane.paddr)
+            {
                 self.settle_line(streams, lanes, l, (i, j), false);
             }
         }
@@ -613,7 +615,14 @@ impl ModelExec {
     }
 
     /// Costs elements `start..end` of a run, all in one sampled window.
-    fn run_window(&mut self, streams: &[Stream], lanes: &mut [Lane], start: u64, end: u64, bulk: bool) {
+    fn run_window(
+        &mut self,
+        streams: &[Stream],
+        lanes: &mut [Lane],
+        start: u64,
+        end: u64,
+        bulk: bool,
+    ) {
         let k = streams.len();
         self.access_index += end - start;
         self.sampled_accesses += end - start;
@@ -633,7 +642,10 @@ impl ModelExec {
         } else {
             self.twin_loads(streams, lanes, start, end);
         }
-        let mut at = Cursor { tlb_at: p, l1_at: p };
+        let mut at = Cursor {
+            tlb_at: p,
+            l1_at: p,
+        };
         while p < end {
             if i >= lanes[j].next {
                 self.simulate_lane(streams, lanes, &mut at, (p, i, j), bulk);
@@ -645,7 +657,8 @@ impl ModelExec {
                 i += 1;
             }
         }
-        self.catch_up(&mut at, end);
+        self.tlb.repeat_hits(end - at.tlb_at);
+        self.hierarchy.repeat_l1_hits(end - at.l1_at);
         for l in 0..k {
             if lanes[l].on_line {
                 self.settle_line(streams, lanes, l, (i, j), true);
@@ -797,7 +810,11 @@ fn stay(addr: u64, stride: i64, block: u64) -> u64 {
         return u64::MAX;
     }
     let offset = addr & (block - 1);
-    let room = if stride > 0 { block - 1 - offset } else { offset };
+    let room = if stride > 0 {
+        block - 1 - offset
+    } else {
+        offset
+    };
     // Power-of-two strides (every kernel's) shift; `room < block` fits
     // 32 bits, whose division is the cheaper one.
     if step.is_power_of_two() {

@@ -350,7 +350,12 @@ fn mixed_sink(ways: usize, policy: Replacement, rate: u32) -> ModelExec {
 /// the set per iteration. Crossing streams either walk the set itself
 /// (a new tag each time, so every element misses and evicts), walk
 /// lines, or walk pages.
-fn mixed_streams(rng: &mut Xoshiro256, ways: usize, resident: usize, crossing: usize) -> Vec<Stream> {
+fn mixed_streams(
+    rng: &mut Xoshiro256,
+    ways: usize,
+    resident: usize,
+    crossing: usize,
+) -> Vec<Stream> {
     let span = 512 / ways as u64; // bytes between lines of one set
     let set = rng.gen_range(span / L1_LINE) * L1_LINE;
     let mut tags: Vec<u64> = (1..40).collect();
@@ -404,10 +409,15 @@ fn check_mixed(ways: usize, policy: Replacement, rate: u32, seed: u64) {
         let n = pick(&mut rng, &[5u64, 40, 300, 1500]);
         fast.access_run(&streams, n);
         slow.access_run(&streams, n);
-        let context =
-            format!("{ways}-way {policy:?}, rate {rate}, seed {seed:#x}, step {step}: {streams:?} × {n}");
+        let context = format!(
+            "{ways}-way {policy:?}, rate {rate}, seed {seed:#x}, step {step}: {streams:?} × {n}"
+        );
         assert_same(&fast.finish(), &slow.0.finish(), &context);
-        assert_eq!(format!("{fast:?}"), format!("{:?}", slow.0), "sink state, {context}");
+        assert_eq!(
+            format!("{fast:?}"),
+            format!("{:?}", slow.0),
+            "sink state, {context}"
+        );
     }
 }
 

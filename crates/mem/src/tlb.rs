@@ -157,12 +157,6 @@ impl Tlb {
         self.clock
     }
 
-    /// Whether every entry is in use, so that a miss evicts one.
-    #[inline]
-    pub fn is_full(&self) -> bool {
-        self.vpns.len() == self.cfg.entries
-    }
-
     /// The entry holding the page of `vaddr`, if it is resident.
     #[inline]
     pub fn lookup(&self, vaddr: u64) -> Option<usize> {

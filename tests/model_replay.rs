@@ -45,7 +45,13 @@ impl Replay {
     /// `[L1 accesses, L1 misses, L2 accesses, L2 misses, TLB misses]`.
     fn counts(&self) -> [u64; 5] {
         let (l1, l2) = (self.hierarchy.level_stats(0), self.hierarchy.level_stats(1));
-        [l1.accesses, l1.misses, l2.accesses, l2.misses, self.tlb.misses()]
+        [
+            l1.accesses,
+            l1.misses,
+            l2.accesses,
+            l2.misses,
+            self.tlb.misses(),
+        ]
     }
 }
 
@@ -122,8 +128,14 @@ fn model_counts_equal_a_per_element_replay() {
     // misses there evict lines other streams are still re-hitting.
     let e = Fig7Config::paper().grid_edge;
     let paper = Grid3::random(e, e, e, 0xF167);
-    runs.push(("fig7 paper grid Tegra2 u4".into(), fig7_variant(&Platform::tegra2_node(), &paper, 4)));
-    runs.push(("dgefa n=96 Snowball".into(), dgefa(&Platform::snowball(), 96)));
+    runs.push((
+        "fig7 paper grid Tegra2 u4".into(),
+        fig7_variant(&Platform::tegra2_node(), &paper, 4),
+    ));
+    runs.push((
+        "dgefa n=96 Snowball".into(),
+        dgefa(&Platform::snowball(), 96),
+    ));
     let mut totals = [0u64; 5];
     for (label, (model, replay)) in &runs {
         assert_eq!(model, replay, "{label}: ModelExec vs replay");
