@@ -477,9 +477,9 @@ impl ModelExec {
         lane.next = lane.line_next.min(lane.page_next);
     }
 
-    /// Looks element `i` of stream `j`, the run's element `p`, up in the
-    /// TLB, with every element before it in the TLB's clock; then defers
-    /// the lane's page if its next elements stay on it.
+    /// Looks element `i` of stream `j` up in the TLB, with every element
+    /// before it in the TLB's clock; then defers the lane's page if its
+    /// next elements stay on it.
     #[inline(never)]
     fn page_event(&mut self, streams: &[Stream], lanes: &mut [Lane], i: u64, j: usize, bulk: bool) {
         let k = streams.len();
@@ -584,7 +584,8 @@ impl ModelExec {
             let s = streams[j];
             let vaddr = s.addr(i);
             let paddr = self.route(vaddr);
-            // The same for the L1 set this access searches on a miss.
+            // Likewise a miss's victim search in this L1 set must see the
+            // current stamps of the lines deferred there.
             let set = self.hierarchy.l1().set_of(paddr);
             let guarded = self.lines_in_set[set] > 0;
             if guarded && self.hierarchy.l1().locate(paddr).is_none() {
