@@ -405,7 +405,7 @@ fn check_mixed(ways: usize, policy: Replacement, rate: u32, seed: u64) {
         // r = associativity or associativity + 1 lines in the set.
         let r = ways + rng.gen_range(2) as usize;
         let crossing = 1 + rng.gen_range(r.min(2) as u64) as usize;
-        let streams = mixed_streams(&mut rng, ways, r - crossing.min(r), crossing.min(r));
+        let streams = mixed_streams(&mut rng, ways, r - crossing, crossing);
         let n = pick(&mut rng, &[5u64, 40, 300, 1500]);
         fast.access_run(&streams, n);
         slow.access_run(&streams, n);
